@@ -52,8 +52,8 @@ int main() {
 
   // 4. WCC across the same epoch: a global-footprint query cannot be
   //    carried past a structural change, but the scheduler refines the
-  //    previous epoch's labels by union-find over the inserted arcs —
-  //    O(n + delta) instead of a full label-propagation recompute.
+  //    previous epoch's labels by hooking the inserted arcs into them —
+  //    O(n + delta) instead of a hooking pass over every arc.
   const auto warm = serving.execute_now(wcc);
   std::printf("wcc after insert epoch: %u components, served %s\n",
               warm.num_components,

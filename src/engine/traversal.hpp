@@ -1,12 +1,13 @@
 // The shared frontier-centric traversal engine (Ligra-style vertex_map /
 // edge_map with Beamer direction optimization). Every level-synchronous
-// kernel (BFS, frontier SSSP, label-propagation CC, Brandes BC, k-core
-// peeling, PageRank's dense pull) is one functor plus a loop over
-// edge_map; the engine owns the hot path: direction choice, sparse/dense
-// frontier representation, in-place frontier recycling, software prefetch
-// of the random-access state the scan is about to touch, thread-local
-// next-frontier buffers merged per step, and per-super-step StepStats
-// telemetry.
+// kernel (BFS, frontier SSSP, Brandes BC, k-core peeling) is one functor
+// plus a loop over edge_map; the engine owns the hot path: direction
+// choice, sparse/dense frontier representation, in-place frontier
+// recycling, software prefetch of the random-access state the scan is
+// about to touch, thread-local next-frontier buffers merged per step, and
+// per-super-step StepStats telemetry. Dense whole-graph passes with no
+// frontier (WCC hooking, PageRank's pull) are plain loops in their kernels
+// and record the same StepStats.
 //
 // Functor concept F:
 //   bool cond(vid_t v)                       — is target v still active?
@@ -19,15 +20,14 @@
 //                                              concurrent callers (parallel
 //                                              push). Use atomics on shared
 //                                              per-vertex state.
-// Optional prefetch hooks (the engine calls them a few arcs ahead of the
+// Optional prefetch hook (the engine calls it a few arcs ahead of the
 // scan cursor so the kernel's random state reads overlap the sequential
-// adjacency stream — the GAP pull-loop prefetch discipline):
+// adjacency stream):
 //   void prefetch_target(vid_t v)  — push is about to call cond/update on
 //                                    target v (e.g. prefetch &dist[v]).
-//   void prefetch_source(vid_t u)  — pull is about to fold source u's
-//                                    state (e.g. prefetch &contrib[u]).
-// The engine deduplicates next-frontier insertion; update may return true
-// for the same v more than once per step.
+// Pull prefetches the frontier bitmap itself. The engine deduplicates
+// next-frontier insertion; update may return true for the same v more
+// than once per step.
 //
 // Direction semantics: push iterates the frontier's out-arcs (u ranges over
 // the frontier); pull scans every vertex v with cond(v) and probes its
@@ -69,12 +69,6 @@ struct TraversalOptions {
   /// Use worker threads when the global pool has more than one. Serial
   /// traversals are exactly deterministic (insertion order reproducible).
   bool parallel = true;
-  /// Traverse the transposed graph: push follows in-arcs, pull probes
-  /// out-arcs. Used e.g. for the reverse sweep of directed WCC.
-  bool transpose = false;
-  /// Build and return the next frontier. Dense recurrences that only fold
-  /// state (PageRank) switch this off to skip claim/merge work.
-  bool produce_output = true;
   /// The functor claims each vertex at most once across the whole
   /// traversal (BFS-style). Lets the kAuto heuristic measure the scout
   /// count against the arcs not yet traversed (telemetry-tracked) instead
@@ -99,9 +93,6 @@ inline constexpr std::size_t kPrefetchDistance = 8;
 template <typename F>
 concept HasPrefetchTarget =
     requires(F& f, vid_t v) { f.prefetch_target(v); };
-template <typename F>
-concept HasPrefetchSource =
-    requires(F& f, vid_t u) { f.prefetch_source(u); };
 
 /// Adjacency view over raw CSR arrays: forward (out) or reverse (in)
 /// arcs, with weight access where the representation has them. The
@@ -196,8 +187,7 @@ void edge_map_into(const graph::CSRGraph& g, Frontier& frontier,
   next.reinit(n);
   core::WallTimer timer;
 
-  if (g.directed() && opts.transpose) g.ensure_transpose();
-  detail::Adj fwd = detail::Adj::make(g, opts.transpose);
+  detail::Adj fwd = detail::Adj::make(g, /*use_in=*/false);
 
   Direction dir;
   if (opts.direction == TraversalOptions::Dir::kPush) {
@@ -207,7 +197,7 @@ void edge_map_into(const graph::CSRGraph& g, Frontier& frontier,
   } else {
     // Pull cannot recover arc weights from a directed transpose, so the
     // heuristic never selects it there (callers may still force it for
-    // weight-oblivious functors like PageRank's).
+    // weight-oblivious functors).
     const bool pull_usable = !(g.directed() && g.weighted());
     const std::uint64_t fedges = frontier.has_out_edges()
                                      ? frontier.out_edges()
@@ -238,15 +228,12 @@ void edge_map_into(const graph::CSRGraph& g, Frontier& frontier,
                 : Direction::kPush;
     }
   }
-  // Push on the transpose and pull on the forward graph both read in-arcs.
-  if (g.directed() && ((dir == Direction::kPush) == opts.transpose)) {
-    g.ensure_transpose();
-  }
+  // Pull reads in-arcs.
+  if (g.directed() && dir == Direction::kPull) g.ensure_transpose();
 
   const bool run_parallel =
       opts.parallel && core::ThreadPool::global().num_threads() > 1;
-  const bool track_scout =
-      opts.produce_output && opts.direction == TraversalOptions::Dir::kAuto;
+  const bool track_scout = opts.direction == TraversalOptions::Dir::kAuto;
   StepStats st;
   st.direction = dir;
   st.frontier_size = frontier.size();
@@ -267,8 +254,7 @@ void edge_map_into(const graph::CSRGraph& g, Frontier& frontier,
             if (i + kPD < ae) f.prefetch_target(fwd.targets[i + kPD]);
           }
           if (!f.cond(v)) continue;
-          if (f.update(u, v, fwd.weight(i)) && opts.produce_output &&
-              next.add(v) && track_scout) {
+          if (f.update(u, v, fwd.weight(i)) && next.add(v) && track_scout) {
             scout += fwd.degree(v);
           }
         }
@@ -296,7 +282,7 @@ void edge_map_into(const graph::CSRGraph& g, Frontier& frontier,
                 }
                 if (!f.cond(v)) continue;
                 if (f.update_atomic(u, v, fwd.weight(i)) &&
-                    opts.produce_output && next.claim_atomic(v)) {
+                    next.claim_atomic(v)) {
                   local.push_back(v);
                   if (track_scout) local_scout += fwd.degree(v);
                 }
@@ -320,7 +306,7 @@ void edge_map_into(const graph::CSRGraph& g, Frontier& frontier,
     // frontier-bitmap probes are the random access here — prefetch them a
     // few arcs ahead of the cursor.
     next.make_dense();
-    detail::Adj rev = detail::Adj::make(g, !opts.transpose);
+    detail::Adj rev = detail::Adj::make(g, /*use_in=*/true);
     const bool whole = frontier.complete();
     if (!run_parallel) {
       std::uint64_t edges = 0, touched = 0, scout = 0;
@@ -330,17 +316,12 @@ void edge_map_into(const graph::CSRGraph& g, Frontier& frontier,
         const eid_t ab = rev.offsets[v], ae = rev.offsets[v + 1];
         for (eid_t i = ab; i < ae; ++i) {
           const vid_t u = rev.targets[i];
-          if (i + kPD < ae) {
-            const vid_t pu = rev.targets[i + kPD];
-            if (!whole) frontier.prefetch_contains(pu);
-            if constexpr (detail::HasPrefetchSource<Fn>) {
-              f.prefetch_source(pu);
-            }
+          if (!whole && i + kPD < ae) {
+            frontier.prefetch_contains(rev.targets[i + kPD]);
           }
           ++edges;
           if (!whole && !frontier.contains(u)) continue;
-          if (f.update(u, v, rev.weight(i)) && opts.produce_output &&
-              next.add(v) && track_scout) {
+          if (f.update(u, v, rev.weight(i)) && next.add(v) && track_scout) {
             scout += fwd.degree(v);
           }
           if (!f.cond(v)) break;
@@ -368,17 +349,12 @@ void edge_map_into(const graph::CSRGraph& g, Frontier& frontier,
                 const eid_t ab = rev.offsets[v], ae = rev.offsets[v + 1];
                 for (eid_t i = ab; i < ae; ++i) {
                   const vid_t u = rev.targets[i];
-                  if (i + kPD < ae) {
-                    const vid_t pu = rev.targets[i + kPD];
-                    if (!whole) frontier.prefetch_contains(pu);
-                    if constexpr (detail::HasPrefetchSource<Fn>) {
-                      f.prefetch_source(pu);
-                    }
+                  if (!whole && i + kPD < ae) {
+                    frontier.prefetch_contains(rev.targets[i + kPD]);
                   }
                   ++local_edges;
                   if (!whole && !frontier.contains(u)) continue;
-                  if (f.update(u, v, rev.weight(i)) && opts.produce_output &&
-                      next.claim_atomic(v)) {
+                  if (f.update(u, v, rev.weight(i)) && next.claim_atomic(v)) {
                     ++local_added;
                     if (track_scout) local_scout += fwd.degree(v);
                   }
@@ -404,7 +380,7 @@ void edge_map_into(const graph::CSRGraph& g, Frontier& frontier,
   // step's direction heuristic reads them; under a forced direction the
   // dense/sparse round-trip (O(n) bitmap rescan on ensure_sparse) and the
   // per-discovery degree lookups are pure overhead.
-  if (opts.produce_output && opts.direction == TraversalOptions::Dir::kAuto) {
+  if (opts.direction == TraversalOptions::Dir::kAuto) {
     next.auto_switch(g.num_arcs());
   }
   st.bytes_moved =
@@ -431,12 +407,11 @@ Frontier edge_map(const graph::CSRGraph& g, Frontier& frontier, F&& f,
 /// read path. A flat view delegates to the CSR overload above (identical
 /// hot path, full direction optimization). A delta-backed or tier-backed
 /// view traverses the merged adjacency push-style: neither keeps an
-/// in-adjacency, so pull (and transpose) are unavailable until the
-/// compactor flattens — opts.direction/transpose are ignored rather than
-/// an error, because the same kernel code must run on every view kind.
-/// Pure tiered views (no chain) get a segment-resolution seam: a
-/// TieredGraph::Reader cursor per worker re-pins only on segment cross,
-/// so the per-vertex cost stays one bounds check, not one mutex.
+/// in-adjacency, so pull is unavailable until the compactor flattens —
+/// opts.direction is ignored rather than an error, because the same
+/// kernel code must run on every view kind. One TieredGraph::Reader per
+/// worker re-pins a tiered base only on segment cross, so the per-vertex
+/// cost stays one bounds check, not one mutex.
 template <typename F>
 void edge_map_into(const store::GraphView& view, Frontier& frontier,
                    Frontier& next, F&& f, const TraversalOptions& opts = {},
@@ -446,9 +421,6 @@ void edge_map_into(const store::GraphView& view, Frontier& frontier,
                   telem);
     return;
   }
-  GA_CHECK(!opts.transpose,
-           "edge_map(GraphView): transpose traversal needs a flat view "
-           "(compact first or use view.csr())");
   const vid_t n = view.num_vertices();
   GA_CHECK(frontier.universe() == n, "edge_map: frontier/view mismatch");
   GA_CHECK(&frontier != &next, "edge_map: frontier and next must differ");
@@ -464,27 +436,14 @@ void edge_map_into(const store::GraphView& view, Frontier& frontier,
   frontier.ensure_sparse();
   const auto& items = frontier.items();
   st.vertices_touched = items.size();
-  const bool pure_tiered = view.tiered() && view.chain_depth() == 0;
   if (!run_parallel) {
     std::uint64_t edges = 0;
-    if (pure_tiered) {
-      const store::TieredGraph& tg = *view.tiers();
-      store::TieredGraph::Reader reader;
-      for (vid_t u : items) {
-        tg.for_each_out(u, reader, [&](vid_t v, float w) {
-          ++edges;
-          if (!f.cond(v)) return;
-          if (f.update(u, v, w) && opts.produce_output) next.add(v);
-        });
-      }
-    } else {
-      for (vid_t u : items) {
-        view.for_each_out(u, [&](vid_t v, float w) {
-          ++edges;
-          if (!f.cond(v)) return;
-          if (f.update(u, v, w) && opts.produce_output) next.add(v);
-        });
-      }
+    store::TieredGraph::Reader reader;
+    for (vid_t u : items) {
+      view.for_each_out(u, reader, [&](vid_t v, float w) {
+        ++edges;
+        if (f.cond(v) && f.update(u, v, w)) next.add(v);
+      });
     }
     st.edges_traversed = edges;
   } else {
@@ -497,19 +456,13 @@ void edge_map_into(const store::GraphView& view, Frontier& frontier,
           store::TieredGraph::Reader reader;  // per-chunk = per-worker pin
           for (std::uint64_t idx = b; idx < e; ++idx) {
             const vid_t u = items[idx];
-            const auto visit = [&](vid_t v, float w) {
+            view.for_each_out(u, reader, [&](vid_t v, float w) {
               ++local_edges;
-              if (!f.cond(v)) return;
-              if (f.update_atomic(u, v, w) && opts.produce_output &&
+              if (f.cond(v) && f.update_atomic(u, v, w) &&
                   next.claim_atomic(v)) {
                 local.push_back(v);
               }
-            };
-            if (pure_tiered) {
-              view.tiers()->for_each_out(u, reader, visit);
-            } else {
-              view.for_each_out(u, visit);
-            }
+            });
           }
           edges.fetch_add(local_edges, std::memory_order_relaxed);
           if (!local.empty()) {
@@ -521,7 +474,7 @@ void edge_map_into(const store::GraphView& view, Frontier& frontier,
     st.edges_traversed = edges.load();
   }
 
-  if (opts.produce_output) next.auto_switch();
+  next.auto_switch();
   st.bytes_moved = detail::model_bytes(st.vertices_touched,
                                        st.edges_traversed, view.weighted());
   st.seconds = timer.seconds();
@@ -568,6 +521,23 @@ void vertex_map(Frontier& frontier, Fn&& fn, bool parallel = false,
     if (telem) telem->record(st);
     obs_record_step(st);
   }
+}
+
+/// Record one dense whole-graph pass of a kernel loop that runs outside
+/// edge_map (WCC hooking, a PageRank sweep): every vertex examined,
+/// `arcs` arcs read.
+inline void record_dense_pass(Telemetry& telem, Direction dir, vid_t n,
+                              std::uint64_t arcs, bool weighted,
+                              double seconds) {
+  StepStats st;
+  st.direction = dir;
+  st.frontier_size = n;
+  st.vertices_touched = n;
+  st.edges_traversed = arcs;
+  st.bytes_moved = detail::model_bytes(n, arcs, weighted);
+  st.seconds = seconds;
+  telem.record(st);
+  obs_record_step(st);
 }
 
 /// Build a frontier of every vertex in [0, n) satisfying pred.

@@ -1,11 +1,13 @@
-// Weakly Connected Components (Fig. 1 row "CCW"). Three engines:
-// label propagation (Shiloach–Vishkin-style hooking + pointer jumping,
-// the parallel-friendly form), BFS sweep (simple oracle), and a
-// union-find API that the streaming layer reuses for incremental
+// Weakly Connected Components (Fig. 1 row "CCW"). One parallel kernel —
+// Shiloach–Vishkin min-id hooking plus pointer-jumping compress over any
+// GraphView — and two serial references: a BFS sweep (simple oracle) and
+// a union-find API that the streaming layer reuses for incremental
 // connectivity.
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "engine/telemetry.hpp"
@@ -20,15 +22,29 @@ struct ComponentsResult {
   std::vector<vid_t> label;       // component id per vertex (min vertex id)
   vid_t num_components = 0;
   vid_t largest_size = 0;
-  /// Per-super-step engine telemetry (wcc_label_propagation only).
+  /// Per-pass telemetry (wcc_label_propagation only): one hook step, one
+  /// compress step.
   std::vector<engine::StepStats> steps;
 };
 
-/// Shiloach–Vishkin style hook + compress label propagation.
-ComponentsResult wcc_label_propagation(const CSRGraph& g);
-/// Delta-native on undirected views (push-only min-label rounds); directed
-/// non-flat views fold once through view.csr() for the transposed sweep.
+/// Shiloach–Vishkin min-id hooking + pointer-jumping compress, parallel
+/// over vertex ranges through GraphView::for_each_out, the same way for
+/// flat, chained, tiered and directed views. Every arc hooks the higher of
+/// its endpoints' roots under the lower one (undirected views hook each
+/// edge once, from its higher endpoint; directed views hook every arc,
+/// since a union needs no transpose), so each root is its component's
+/// minimum vertex id and the labels come out canonical by construction.
 ComponentsResult wcc_label_propagation(const store::GraphView& g);
+/// The CSR form forwards through GraphView::borrowed.
+ComponentsResult wcc_label_propagation(const CSRGraph& g);
+
+/// Hooks `arcs` into `label` — a previous result's canonical labels, or
+/// any min-id forest — with the same hook and compress as above. An
+/// insert-only delta only fuses whole components, so this is update_wcc's
+/// warm path: O(n + |arcs|) instead of a pass over every arc.
+ComponentsResult wcc_hook_arcs(
+    std::vector<vid_t> label,
+    std::span<const std::pair<vid_t, vid_t>> arcs);
 
 /// BFS from every unvisited vertex (test oracle).
 ComponentsResult wcc_bfs(const CSRGraph& g);
@@ -53,31 +69,16 @@ class UnionFind {
 
 ComponentsResult wcc_union_find(const CSRGraph& g);
 
-/// Canonicalize labels to the minimum vertex id of each component so all
-/// three engines produce byte-identical results.
+/// Canonicalize labels (vertex ids) to the minimum vertex id of each
+/// component so every engine produces byte-identical results.
 void canonicalize_labels(std::vector<vid_t>& label);
 
-enum class WccAlgo { kLabelPropagation, kBfs, kUnionFind };
-
 /// Uniform kernel entry point (see kernels/registry.hpp).
-struct ComponentsOptions {
-  WccAlgo algo = WccAlgo::kLabelPropagation;
-};
-
-inline ComponentsResult run(const CSRGraph& g, const ComponentsOptions& opts) {
-  switch (opts.algo) {
-    case WccAlgo::kBfs: return wcc_bfs(g);
-    case WccAlgo::kUnionFind: return wcc_union_find(g);
-    default: return wcc_label_propagation(g);
-  }
-}
+struct ComponentsOptions {};
 
 inline ComponentsResult run(const store::GraphView& g,
-                            const ComponentsOptions& opts) {
-  if (opts.algo == WccAlgo::kLabelPropagation) {
-    return wcc_label_propagation(g);  // delta-native path
-  }
-  return run(g.csr(), opts);
+                            const ComponentsOptions&) {
+  return wcc_label_propagation(g);
 }
 
 }  // namespace ga::kernels

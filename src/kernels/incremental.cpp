@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <unordered_map>
 #include <utility>
 
 namespace ga::kernels {
@@ -44,7 +43,7 @@ PageRankResult update_pagerank(const PageRankResult& prev,
   const auto batch = [&](IncrementalFallback why) {
     o.incremental = false;
     o.fallback = why;
-    PageRankResult r = pagerank(view.csr(), opts);
+    PageRankResult r = pagerank(view, opts);
     o.iterations = r.iterations;
     report(out, o);
     return r;
@@ -67,7 +66,7 @@ PageRankResult update_pagerank(const PageRankResult& prev,
   PageRankResult r;
   try {
     if (inc.fault_hook) inc.fault_hook("pagerank_warm");
-    r = pagerank_warm(view.csr(), prev.rank, warm_opts);
+    r = pagerank_warm(view, prev.rank, warm_opts);
   } catch (...) {
     return batch(IncrementalFallback::kFault);
   }
@@ -108,49 +107,10 @@ ComponentsResult update_wcc(const ComponentsResult& prev,
   ComponentsResult r;
   try {
     if (inc.fault_hook) inc.fault_hook("wcc_unite");
-    r.label = prev.label;
-    // Merge at the LABEL level: an insert-only delta can only fuse whole
-    // components, and it touches O(|delta|) of them — so union those few
-    // labels through a small map instead of rebuilding a vertex-level
-    // union-find over all n. `root` holds only labels merged into another
-    // label (absent == still its own root).
-    std::unordered_map<vid_t, vid_t> root;
-    auto resolve = [&root](vid_t l) {
-      vid_t rep = l;
-      for (auto it = root.find(rep); it != root.end(); it = root.find(rep)) {
-        rep = it->second;
-      }
-      while (l != rep) {  // path compression
-        auto& slot = root[l];
-        const vid_t next = slot;
-        slot = rep;
-        l = next;
-      }
-      return rep;
-    };
-    vid_t merges = 0;
-    for (const auto& [u, v] : delta.inserted_arcs) {
-      const vid_t a = resolve(r.label[u]);
-      const vid_t b = resolve(r.label[v]);
-      if (a == b) continue;
-      // Labels are canonical min vertex ids; merging into the smaller one
-      // keeps them canonical, so no relabeling sweep is needed afterwards.
-      root.emplace(std::max(a, b), std::min(a, b));
-      ++merges;
-    }
-    if (!root.empty()) {
-      std::vector<std::uint8_t> touched(n, 0);
-      for (const auto& [l, p] : root) touched[l] = 1;
-      for (vid_t v = 0; v < n; ++v) {
-        if (touched[r.label[v]]) r.label[v] = resolve(r.label[v]);
-      }
-    }
-    r.num_components = prev.num_components - merges;
-    // Exact largest-component size by counting sort on the (vertex-id)
-    // labels: two streaming O(n) passes over flat arrays.
-    std::vector<vid_t> count(n, 0);
-    for (vid_t v = 0; v < n; ++v) ++count[r.label[v]];
-    r.largest_size = *std::max_element(count.begin(), count.end());
+    // The previous labels are a compressed min-id forest, so the batch
+    // kernel's hook applies to them directly: an insert-only delta can
+    // only fuse whole components.
+    r = wcc_hook_arcs(prev.label, delta.inserted_arcs);
   } catch (...) {
     return batch(IncrementalFallback::kFault);
   }
@@ -213,7 +173,7 @@ class IncPageRank final : public IncrementalKernel {
   explicit IncPageRank(PageRankOptions opts) : pr_opts_(opts) {}
 
   std::string init(const store::GraphView& view) override {
-    res_ = pagerank(view.csr(), pr_opts_);
+    res_ = pagerank(view, pr_opts_);
     return digest();
   }
   IncrementalOutcome update(const store::DeltaSummary& delta,
@@ -224,7 +184,7 @@ class IncPageRank final : public IncrementalKernel {
   }
   std::string digest() const override { return digest_of(res_); }
   std::string batch_digest(const store::GraphView& view) const override {
-    return digest_of(pagerank(view.csr(), pr_opts_));
+    return digest_of(pagerank(view, pr_opts_));
   }
 
  private:

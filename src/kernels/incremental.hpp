@@ -12,10 +12,10 @@
 //    warm power iteration (pagerank_warm) with a bounded iteration budget;
 //    falls back to batch on vertex growth, oversized churn, or a warm run
 //    that exhausts the budget without reaching tolerance.
-//  * WCC — union-find over the inserted arcs, O(Δ α(n)) on top of the
-//    previous labels; any *effective* delete falls back to a batch
-//    recompute (the classic streaming-connectivity recompute-on-delete
-//    policy, shared with StreamingComponents below).
+//  * WCC — the batch kernel's min-id hook applied to the inserted arcs
+//    on top of the previous labels, O(n + Δ); any *effective* delete
+//    falls back to a batch recompute (the classic streaming-connectivity
+//    recompute-on-delete policy, shared with StreamingComponents below).
 //  * Jaccard point query — the answer depends only on the query's 2-hop
 //    footprint; an epoch disjoint from it carries the previous answer
 //    unchanged, otherwise the (already local) query recomputes.

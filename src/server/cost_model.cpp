@@ -46,9 +46,9 @@ engine::StepStats synth_stats(const QueryDesc& q, vid_t n, eid_t m) {
       break;
     }
     case QueryKind::kWcc:
-      // Hook + compress label propagation: a few full sweeps.
-      st.vertices_touched = static_cast<std::uint64_t>(4.0 * nd);
-      st.edges_traversed = static_cast<std::uint64_t>(4.0 * md);
+      // One hooking pass over every arc, then one compress pass.
+      st.vertices_touched = static_cast<std::uint64_t>(2.0 * nd);
+      st.edges_traversed = m;
       break;
     case QueryKind::kSubgraphExtract: {
       // Frontier grows ~avg_deg per level for `depth` levels, capped at n.

@@ -520,9 +520,8 @@ void QueryScheduler::execute_bfs_batch(
 
 QueryResult QueryScheduler::run_kernel(const QueryDesc& desc,
                                        const SnapshotRef& snap) {
-  // The one read path: delta-native kernels (BFS, WCC, k-hop) traverse
-  // the view's merged chain directly; PageRank and Jaccard need the flat
-  // CSR and pay the cached per-version fold through view.csr().
+  // The one read path: every kernel takes the view itself; PageRank picks
+  // between streaming tiers and the cached fold inside the kernel.
   const store::GraphView& v = snap.view();
   const vid_t n = v.num_vertices();
   QueryResult r;
@@ -583,7 +582,7 @@ QueryResult QueryScheduler::run_kernel(const QueryDesc& desc,
       }
       if (res == nullptr) {
         res = std::make_shared<const kernels::PageRankResult>(
-            kernels::pagerank(v.csr(), serving_pagerank_opts()));
+            kernels::pagerank(v, serving_pagerank_opts()));
       }
       {
         std::lock_guard<std::mutex> lk(warm_mu_);

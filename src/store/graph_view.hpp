@@ -111,10 +111,15 @@ class GraphView {
   std::shared_ptr<const graph::CSRGraph> flatten() const;
 
   /// Merged out-adjacency of `u`, ascending by target id; fn(vid_t v,
-  /// float w) with w == 1.0f on unweighted graphs. Flat views iterate the
-  /// CSR spans directly.
+  /// float w) with w == 1.0f on unweighted graphs. A sweep keeps one
+  /// Reader per thread, so a tiered base re-pins only on segment cross.
   template <typename Fn>
-  void for_each_out(vid_t u, Fn&& fn) const;
+  void for_each_out(vid_t u, TieredGraph::Reader& rd, Fn&& fn) const;
+  template <typename Fn>
+  void for_each_out(vid_t u, Fn&& fn) const {
+    TieredGraph::Reader rd;
+    for_each_out(u, rd, static_cast<Fn&&>(fn));
+  }
 
   eid_t out_degree(vid_t u) const;
   bool has_edge(vid_t u, vid_t v) const;
@@ -185,43 +190,36 @@ class GraphView {
 // capacity.
 
 template <typename Fn>
-void GraphView::for_each_out(vid_t u, Fn&& fn) const {
+void GraphView::for_each_out(vid_t u, TieredGraph::Reader& rd,
+                             Fn&& fn) const {
   GA_ASSERT(valid() && u < n_);
-  if (chain_.empty()) {
-    if (tiers_) {
-      tiers_->for_each_out(u, fn);
-      return;
-    }
-    const graph::CSRGraph& b = *base_;
-    GA_ASSERT(u < b.num_vertices());
-    const auto nbrs = b.out_neighbors(u);
-    if (b.weighted()) {
-      const auto ws = b.out_weights(u);
-      for (std::size_t i = 0; i < nbrs.size(); ++i) fn(nbrs[i], ws[i]);
-    } else {
-      for (const vid_t v : nbrs) fn(v, 1.0f);
-    }
-    return;
-  }
-
-  // Resolve the base adjacency spans — a flat CSR slice or a pinned
-  // tier slab (the pin keeps the slab alive across the merge even if the
+  // Resolve the base adjacency spans — a flat CSR slice or a tier slab
+  // (the reader's pin keeps the slab alive across the merge even if the
   // eviction clock sweeps it mid-iteration).
   const vid_t base_n = tiers_ ? tiers_->num_vertices() : base_->num_vertices();
-  const bool in_base = u < base_n;
-  TieredGraph::Pin tier_pin;
   std::span<const vid_t> bt;
   std::span<const float> bw;
-  if (in_base) {
+  if (u < base_n) {
     const bool w = weighted();
     if (tiers_) {
-      tier_pin = tiers_->acquire(tiers_->segment_of(u));
-      bt = tier_pin->neighbors(u);
-      if (w) bw = tier_pin->weights_of(u);
+      const SegmentCSR& slab = tiers_->slab_of(u, rd);
+      bt = slab.neighbors(u);
+      if (w) bw = slab.weights_of(u);
     } else {
       bt = base_->out_neighbors(u);
       if (w) bw = base_->out_weights(u);
     }
+  }
+  const auto scan_base = [&] {
+    if (!bw.empty()) {
+      for (std::size_t i = 0; i < bt.size(); ++i) fn(bt[i], bw[i]);
+    } else {
+      for (const vid_t v : bt) fn(v, 1.0f);
+    }
+  };
+  if (chain_.empty()) {
+    scan_base();
+    return;
   }
 
   struct Cursor {
@@ -244,11 +242,7 @@ void GraphView::for_each_out(vid_t u, Fn&& fn) const {
   }
 
   if (!any_ops) {  // untouched vertex: plain base scan
-    if (!bw.empty()) {
-      for (std::size_t i = 0; i < bt.size(); ++i) fn(bt[i], bw[i]);
-    } else {
-      for (const vid_t v : bt) fn(v, 1.0f);
-    }
+    scan_base();
     return;
   }
   std::size_t bi = 0;

@@ -165,15 +165,20 @@ class TieredGraph {
     std::uint32_t seg = UINT32_MAX;
   };
 
-  template <typename Fn>
-  void for_each_out(vid_t u, Reader& r, Fn&& fn) const {
+  /// The decoded slab holding u's adjacency, pinned through `r`.
+  const SegmentCSR& slab_of(vid_t u, Reader& r) const {
     GA_ASSERT(u < n_);
     const std::uint32_t seg = segment_of(u);
     if (seg != r.seg || !r.pin) {
       r.pin = acquire(seg);
       r.seg = seg;
     }
-    const SegmentCSR& s = *r.pin;
+    return *r.pin;
+  }
+
+  template <typename Fn>
+  void for_each_out(vid_t u, Reader& r, Fn&& fn) const {
+    const SegmentCSR& s = slab_of(u, r);
     const auto nbrs = s.neighbors(u);
     if (weighted_) {
       const auto ws = s.weights_of(u);

@@ -81,7 +81,7 @@ class StreamProcessor {
   /// When the full analytic exhausts its retries or misses its deadline,
   /// the alert degrades to the incremental approximation already kept hot
   /// (the seed's component size from StreamingComponents by default; override
-  /// with set_degraded_analytic, e.g. an incremental_pagerank rank).
+  /// with set_degraded_analytic, e.g. a warm update_pagerank rank).
   void set_stage_executor(resilience::StageExecutor* executor,
                           resilience::StageOptions stage_opts = {});
 

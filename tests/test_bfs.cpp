@@ -77,6 +77,9 @@ struct BfsCase {
   const char* name;
   graph::CSRGraph (*make)();
 };
+// gtest prints the parameter into the test name; the case name keeps it
+// the same on every build (the default is a byte dump with addresses).
+void PrintTo(const BfsCase& c, std::ostream* os) { *os << c.name; }
 
 class BfsModesAgree
     : public ::testing::TestWithParam<std::tuple<BfsCase, vid_t>> {};

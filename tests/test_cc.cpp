@@ -40,6 +40,9 @@ struct WccCase {
   const char* name;
   graph::CSRGraph (*make)();
 };
+// gtest prints the parameter into the test name; the case name keeps it
+// the same on every build (the default is a byte dump with addresses).
+void PrintTo(const WccCase& c, std::ostream* os) { *os << c.name; }
 
 class WccEnginesAgree : public ::testing::TestWithParam<WccCase> {};
 

@@ -235,7 +235,7 @@ TEST(EngineWcc, LabelPropagationMatchesReferenceAllFamilies) {
 
 TEST(EngineWcc, DirectedChainIsOneWeakComponent) {
   // Arcs only point forward; weak connectivity must still join the chain,
-  // which exercises the transposed edge_map in directed label propagation.
+  // which exercises hooking every arc of a directed graph.
   const auto g = build_directed({{0, 1}, {1, 2}, {2, 3}, {3, 4}}, 5);
   const auto r = kernels::wcc_label_propagation(g);
   EXPECT_EQ(r.num_components, 1u);

@@ -15,6 +15,9 @@ struct Family {
   const char* name;
   std::function<std::vector<Edge>(std::uint64_t seed)> make;
 };
+// gtest prints the parameter into the test name; the case name keeps it
+// the same on every build (the default is a byte dump with addresses).
+void PrintTo(const Family& c, std::ostream* os) { *os << c.name; }
 
 class GeneratorFamily : public ::testing::TestWithParam<Family> {};
 

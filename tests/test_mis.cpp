@@ -11,6 +11,9 @@ struct MisCase {
   const char* name;
   graph::CSRGraph (*make)();
 };
+// gtest prints the parameter into the test name; the case name keeps it
+// the same on every build (the default is a byte dump with addresses).
+void PrintTo(const MisCase& c, std::ostream* os) { *os << c.name; }
 
 class MisIsValid : public ::testing::TestWithParam<MisCase> {};
 

@@ -52,6 +52,9 @@ struct SsspCase {
   std::uint64_t seed;
   float wlo, whi;
 };
+// gtest prints the parameter into the test name; the case name keeps it
+// the same on every build (the default is a byte dump with addresses).
+void PrintTo(const SsspCase& c, std::ostream* os) { *os << c.name; }
 
 class SsspEnginesAgree : public ::testing::TestWithParam<SsspCase> {};
 

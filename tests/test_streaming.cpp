@@ -13,8 +13,9 @@
 #include "kernels/kcore.hpp"
 #include "kernels/pagerank.hpp"
 #include "kernels/triangles.hpp"
+#include "store/delta_summary.hpp"
+#include "store/versioned_store.hpp"
 #include "streaming/incremental_kcore.hpp"
-#include "streaming/incremental_pagerank.hpp"
 #include "streaming/incremental_triangles.hpp"
 #include "streaming/topk_tracker.hpp"
 #include "streaming/update_stream.hpp"
@@ -186,17 +187,28 @@ TEST(IncrementalPageRank, TracksBatchAfterUpdates) {
   for (const auto& u : generate_stream(64, opts)) {
     if (u.kind == UpdateKind::kEdgeInsert) g.insert_edge(u.u, u.v);
   }
-  IncrementalPageRank ipr(g);
-  // Perturb and refresh.
+  store::VersionedGraphStore vstore(g.snapshot());
+  const auto prev = kernels::pagerank(vstore.view());
+  // Perturb and refresh warm from the previous ranks.
+  store::DeltaBatch perturb;
+  perturb.insert_edge(0, 63);
+  perturb.insert_edge(1, 62);
+  vstore.apply(perturb);
+  const store::GraphView view = vstore.view();
+  kernels::IncrementalOptions inc;
+  inc.max_warm_iters = 100;  // a batch solve's budget: no fallback to batch
+  kernels::IncrementalOutcome out;
+  const auto warm = kernels::update_pagerank(prev, *view.delta_summary(),
+                                             view, {}, inc, &out);
+  EXPECT_TRUE(out.incremental);
   g.insert_edge(0, 63);
   g.insert_edge(1, 62);
-  const unsigned warm_iters = ipr.refresh();
   const auto batch = kernels::pagerank(g.snapshot());
   for (vid_t v = 0; v < 64; ++v) {
-    EXPECT_NEAR(ipr.rank(v), batch.rank[v], 1e-5);
+    EXPECT_NEAR(warm.rank[v], batch.rank[v], 1e-5);
   }
   // Warm restart should beat cold-start iteration count.
-  EXPECT_LT(warm_iters, batch.iterations + 1);
+  EXPECT_LT(out.iterations, batch.iterations + 1);
 }
 
 TEST(StreamingJaccardQuery, MatchesBatchKernelOnSnapshot) {

@@ -5,7 +5,9 @@
 // fault injection at the cold-fault stage), the registry-wide kernel
 // equivalence sweep on tiered views at shrinking budgets — including the
 // delta-chain-over-tiered-base composition and the compactor's tiered
-// fold target — checkpoint/recovery round-tripping the tiered policy,
+// fold target — a differential check of WCC, PageRank and update_wcc on
+// every view kind against serial references, checkpoint/recovery
+// round-tripping the tiered policy,
 // the concurrent fault/evict/corrupt churn the sanitizer script runs
 // under TSan, and the bench harness's `--graph file:` rejection path.
 #include <gtest/gtest.h>
@@ -25,10 +27,13 @@
 #include "graph/generators.hpp"
 #include "harness.hpp"
 #include "kernels/bfs.hpp"
+#include "kernels/connected_components.hpp"
+#include "kernels/incremental.hpp"
 #include "kernels/pagerank.hpp"
 #include "kernels/registry.hpp"
 #include "resilience/fault_injection.hpp"
 #include "store/delta.hpp"
+#include "store/delta_summary.hpp"
 #include "store/epoch_log.hpp"
 #include "store/graph_view.hpp"
 #include "store/recovery.hpp"
@@ -441,6 +446,125 @@ TEST(TieredRegistryEquivalence, DeltaChainOverTieredBaseMatches) {
     const auto want =
         kernels::run_kernel(info, kernels::KernelRunSpec::of(eager));
     EXPECT_EQ(got.summary, want.summary);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Differential check of the two dense kernels on every view kind — flat,
+// directed and undirected delta chains, tiered views at 3 budgets, and
+// delta chains over a tiered base: WCC labels against a BFS sweep of the
+// fold, PageRank bitwise against a serial reference power loop, and
+// update_wcc over insert-only deltas against the batch kernel.
+
+/// The textbook serial pull, in the kernel's fixed summation order
+/// (vertex ascending, in-neighbour ascending).
+kernels::PageRankResult ref_pagerank(const CSRGraph& g,
+                                     const kernels::PageRankOptions& o) {
+  const vid_t n = g.num_vertices();
+  g.ensure_transpose();
+  kernels::PageRankResult r;
+  r.rank.assign(n, 1.0 / n);
+  std::vector<double> next(n), contrib(n);
+  for (unsigned iter = 1; iter <= o.max_iters && !r.converged; ++iter) {
+    double dangling = 0.0;
+    for (vid_t u = 0; u < n; ++u) {
+      const eid_t d = g.out_degree(u);
+      if (d == 0) dangling += r.rank[u];
+      contrib[u] = d == 0 ? 0.0 : r.rank[u] / static_cast<double>(d);
+    }
+    r.final_delta = 0.0;
+    for (vid_t v = 0; v < n; ++v) {
+      double sum = 0.0;
+      for (const vid_t u : g.in_neighbors(v)) sum += contrib[u];
+      next[v] = (1.0 - o.damping) / n + o.damping * dangling / n +
+                o.damping * sum;
+      r.final_delta += std::abs(next[v] - r.rank[v]);
+    }
+    r.rank.swap(next);
+    r.iterations = iter;
+    r.converged = r.final_delta < o.tolerance;
+  }
+  return r;
+}
+
+/// wcc_bfs follows out-arcs only; weak connectivity of a directed graph
+/// is the connectivity of its symmetrized twin.
+CSRGraph symmetrized(const CSRGraph& g) {
+  std::vector<graph::Edge> edges;
+  for (vid_t u = 0; u < g.num_vertices(); ++u) {
+    for (const vid_t v : g.out_neighbors(u)) edges.push_back({u, v});
+  }
+  return graph::build_undirected(std::move(edges), g.num_vertices());
+}
+
+void expect_dense_kernels_match(const GraphView& view) {
+  const CSRGraph& fold = view.csr();
+  const auto wcc = kernels::wcc_label_propagation(view);
+  const auto want_wcc = kernels::wcc_bfs(symmetrized(fold));
+  EXPECT_EQ(wcc.label, want_wcc.label);
+  EXPECT_EQ(wcc.num_components, want_wcc.num_components);
+  EXPECT_EQ(wcc.largest_size, want_wcc.largest_size);
+
+  const kernels::PageRankOptions opts;
+  const auto pr = kernels::pagerank(view, opts);
+  const auto want_pr = ref_pagerank(fold, opts);
+  EXPECT_EQ(pr.rank, want_pr.rank);  // bitwise
+  EXPECT_EQ(pr.iterations, want_pr.iterations);
+  EXPECT_EQ(pr.converged, want_pr.converged);
+  EXPECT_EQ(pr.final_delta, want_pr.final_delta);
+}
+
+TEST(ViewDifferential, DenseKernelsMatchReferencesOnEveryViewKind) {
+  for (const bool directed : {false, true}) {
+    core::Xoshiro256 rng(directed ? 31 : 29);
+    Mirror m = seed_mirror(rng, 300, 700, directed);
+    expect_dense_kernels_match(GraphView::of(m.eager()));
+    for (const double frac : {1.0, 0.5, 0.25}) {
+      SCOPED_TRACE("tiered @ " + std::to_string(frac) +
+                   (directed ? " directed" : " undirected"));
+      const CSRGraph eager = m.eager();
+      TierPolicy pol;
+      pol.budget_bytes = tg_budget_for(eager, frac);
+      expect_dense_kernels_match(
+          GraphView::over_tiers(TieredGraph::build(eager, pol)));
+    }
+    for (const bool tiered_base : {false, true}) {
+      SCOPED_TRACE(std::string(tiered_base ? "delta over tiered" : "delta") +
+                   (directed ? " directed" : " undirected"));
+      CompactionPolicy pol;
+      pol.auto_compact = false;
+      pol.tiered = tiered_base;
+      pol.tier.budget_bytes = tg_budget_for(m.eager(), 0.25);
+      VersionedGraphStore store(m.eager(), pol);
+      auto warm = kernels::wcc_label_propagation(store.view());
+      for (int epoch = 0; epoch < 3; ++epoch) {  // insert-only epochs
+        DeltaBatch b(directed);
+        for (int i = 0; i < 30; ++i) {
+          const vid_t u = rng.next_vid(m.n);
+          const vid_t v = (u + 1 + rng.next_vid(m.n - 1)) % m.n;
+          m.insert(u, v);
+          b.insert_edge(u, v);
+        }
+        store.apply(b);
+        const GraphView view = store.view();
+        kernels::IncrementalOutcome out;
+        warm = kernels::update_wcc(warm, *view.delta_summary(), view, {}, &out);
+        EXPECT_TRUE(out.incremental);
+        const auto batch = kernels::wcc_label_propagation(view);
+        EXPECT_EQ(warm.label, batch.label);
+        EXPECT_EQ(warm.num_components, batch.num_components);
+        EXPECT_EQ(warm.largest_size, batch.largest_size);
+        expect_dense_kernels_match(view);
+      }
+      for (int epoch = 0; epoch < 2; ++epoch) {  // deletes as well
+        DeltaBatch b(directed);
+        churn(rng, m, b, 60);
+        store.apply(b);
+      }
+      ASSERT_EQ(store.view().chain_depth(), 5u);
+      ASSERT_EQ(store.view().tiered(), tiered_base);
+      expect_dense_kernels_match(store.view());
+    }
   }
 }
 

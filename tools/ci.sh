@@ -31,6 +31,13 @@ echo "=== [ci] ctest (full suite) ==="
 echo "=== [ci] ctest (serving label, repeated for flake detection) ==="
 (cd "$BUILD_DIR" && ctest --output-on-failure -L serving --repeat until-fail:2)
 
+echo "=== [ci] system benchmark smoke (every workload at scale 10, untraced and traced) ==="
+# system_bench/ drives the served system through public kernel names and
+# stays frozen between benchmark changes, so building and running it here
+# is what catches a signature drift in those names. It builds from this
+# checkout into the git-ignored .bench_build/.
+(cd "$ROOT" && bash system_bench/run_benchmark.sh --smoke)
+
 echo "=== [ci] obs overhead gate (graph500_bfs scale 16, disabled obs vs compiled-out) ==="
 # The observability layer promises <=2% overhead on hot traversal loops
 # when runtime-disabled. Compare the regular build with obs disabled

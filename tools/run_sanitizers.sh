@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Sanitizer sweep for the traversal engine and tier-1 tests:
 #   1. ASan+UBSan build running the full ctest suite.
-#   2. TSan build running the BFS / connected-components / engine /
-#      thread-pool tests (the code with parallel engine paths), plus the
+#   2. TSan build running the BFS / connected-components / PageRank /
+#      engine / thread-pool tests (the code with parallel kernel paths,
+#      parameterized suites included), plus the GAP verifiers on Kron and
+#      uniform inputs, plus the
 #      serving, obs, versioned-store, incremental, and recovery suites
 #      (snapshot churn, registry concurrency, concurrent
 #      publish/lease/compact, warm-state handoff across epoch publishes,
@@ -76,9 +78,11 @@ cmake -B "$TSAN_DIR" -S "$ROOT" -DGA_SANITIZE=thread \
 cmake --build "$TSAN_DIR" -j "$JOBS" \
       --target ga_tests ga_serving_tests ga_obs_tests ga_store_tests \
                ga_incremental_tests ga_recovery_tests ga_dist_tests \
-               ga_tiered_tests > /dev/null
+               ga_tiered_tests ga_verify_tests > /dev/null
 echo "=== [tsan] parallel-path tests ==="
-"$TSAN_DIR/tests/ga_tests" --gtest_filter='Bfs*:Wcc*:Engine*:ThreadPool*:Betweenness*'
+"$TSAN_DIR/tests/ga_tests" --gtest_filter='Bfs*:Wcc*:Engine*:ThreadPool*:Betweenness*:*/BfsModesAgree.*:*/WccEnginesAgree.*:PageRank*:PersonalizedPageRank*:IncrementalPageRank*'
+echo "=== [tsan] verifiers on Kron and uniform inputs ==="
+"$TSAN_DIR/tests/ga_verify_tests" --gtest_filter='*/VerifyOnInput.*'
 echo "=== [tsan] serving suite (snapshot lifetime + scheduler concurrency) ==="
 "$TSAN_DIR/tests/ga_serving_tests"
 echo "=== [tsan] obs suite (registry/tracer concurrency) ==="
