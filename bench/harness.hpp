@@ -100,20 +100,28 @@ struct GraphSpec {
     return "?";
   }
 
-  /// Build with a diagnosable failure path. Generated inputs (kron/urand)
-  /// cannot fail; `file:PATH` reports exactly what went wrong — the path
-  /// echoed back plus the OS errno text for an unopenable file, or the
-  /// loader's parse diagnostic — instead of whatever the loader throws.
-  core::StatusOr<graph::CSRGraph> try_build() const {
+  /// The input's edge list and vertex count (0 = one past the largest
+  /// id); the graph is build_undirected over exactly these. Generated
+  /// inputs (kron/urand) cannot fail; `file:PATH` reports exactly what
+  /// went wrong — the path echoed back plus the OS errno text for an
+  /// unopenable file, or the loader's parse diagnostic — instead of
+  /// whatever the loader throws.
+  struct EdgeList {
+    std::vector<graph::Edge> edges;
+    vid_t num_vertices = 0;
+  };
+  core::StatusOr<EdgeList> try_edges() const {
+    const vid_t n = vid_t{1} << scale;
     switch (kind) {
       case Kind::kKron:
-        return graph::make_rmat(
-            {.scale = scale, .edge_factor = edge_factor, .seed = seed});
-      case Kind::kUrand: {
-        const vid_t n = vid_t{1} << scale;
-        return graph::make_erdos_renyi(
-            n, static_cast<eid_t>(edge_factor) * n, seed);
-      }
+        return EdgeList{graph::rmat_edges({.scale = scale,
+                                           .edge_factor = edge_factor,
+                                           .seed = seed}),
+                        n};
+      case Kind::kUrand:
+        return EdgeList{graph::erdos_renyi_edges(
+                            n, static_cast<eid_t>(edge_factor) * n, seed),
+                        n};
       case Kind::kFile: {
         errno = 0;
         auto edges = graph::try_load_edge_list(path);
@@ -129,11 +137,19 @@ struct GraphSpec {
           }
           return core::Status(edges.status().code(), std::move(msg));
         }
-        return graph::build_undirected(*std::move(edges));
+        return EdgeList{std::move(edges).value(), 0};
       }
     }
     GA_CHECK(false, "unreachable");
-    return graph::CSRGraph{};
+    return EdgeList{};
+  }
+
+  /// Build with try_edges()' diagnosable failure path.
+  core::StatusOr<graph::CSRGraph> try_build() const {
+    auto input = try_edges();
+    if (!input.ok()) return input.status();
+    return graph::build_undirected(std::move(input->edges),
+                                   input->num_vertices);
   }
 
   graph::CSRGraph build() const {
@@ -265,16 +281,24 @@ class Harness {
   /// Untimed per-trial verification: return "" when the trial's output
   /// passes, a diagnostic otherwise. Runs after the clock stops.
   using VerifyFn = std::function<std::string(int trial)>;
+  /// Untimed per-call preparation (e.g. a fresh copy of an input the
+  /// trial consumes). Runs before every call of `fn`, warmups included,
+  /// before the clock starts.
+  using SetupFn = std::function<void(int trial)>;
 
   /// One measurement: `warmup` untimed calls, then `trials` timed calls of
-  /// `fn`, each followed by the (untimed) verification hook. Prints one
-  /// stats line, records JSON fields `<name>_ms_{mean,p50,p95}` (plus
-  /// `<name>_harmonic_munits` when trials report units), and remembers
-  /// verification failures for finish().
+  /// `fn`, each preceded by the (untimed) setup hook and followed by the
+  /// (untimed) verification hook. Prints one stats line, records JSON
+  /// fields `<name>_ms_{mean,p50,p95}` (plus `<name>_harmonic_munits` when
+  /// trials report units), and remembers verification failures for
+  /// finish().
   TrialStats run(const std::string& name, const TrialFn& fn,
-                 const VerifyFn& verify = {}) {
+                 const VerifyFn& verify = {}, const SetupFn& setup = {}) {
     graph();  // build outside any timed region
-    for (int w = 0; w < opts_.warmup; ++w) fn(-1 - w);
+    for (int w = 0; w < opts_.warmup; ++w) {
+      if (setup) setup(-1 - w);
+      fn(-1 - w);
+    }
     TrialStats st;
     st.name = name;
     st.trials = opts_.trials;
@@ -282,6 +306,7 @@ class Harness {
     double inv_rate_sum = 0;
     bool have_units = true;
     for (int t = 0; t < opts_.trials; ++t) {
+      if (setup) setup(t);
       core::WallTimer timer;
       const Trial trial = fn(t);
       const double ms = timer.millis();

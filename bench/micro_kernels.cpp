@@ -2,7 +2,8 @@
 // GAP-protocol trial loop (untimed warmup, n timed trials, per-trial
 // output verification outside the clock) over the kernels this repo
 // optimizes — BFS, delta-stepping SSSP, PageRank, WCC, k-core, triangle
-// counting — plus clustering and a Jaccard query batch. Emits
+// counting — plus clustering, a Jaccard query batch and the CSR build
+// from the input's edge list. Emits
 // BENCH_micro_kernels.json; ci.sh copies it to the repo-root
 // BENCH_kernels.json baseline that tools/bench_compare gates against.
 //
@@ -180,6 +181,27 @@ int main(int argc, char** argv) {
       }
       return bench::Trial{0, std::to_string(matches) + " matches"};
     });
+  }
+  {
+    // The input rebuilt from its edge list. build_csr consumes its input,
+    // so every call gets a fresh copy, made before the clock starts.
+    const auto input = h.options().graph.try_edges().value_or_throw();
+    std::vector<graph::Edge> fresh;
+    graph::CSRGraph built;
+    h.run(
+        "build_csr",
+        [&](int) {
+          built = graph::build_undirected(std::move(fresh), input.num_vertices);
+          return bench::Trial{m, "arcs=" + std::to_string(built.num_arcs())};
+        },
+        [&](int) {
+          const bool same = built.directed() == g.directed() &&
+                            built.offsets() == g.offsets() &&
+                            built.targets() == g.targets() &&
+                            built.weights() == g.weights();
+          return same ? std::string() : "rebuilt CSR differs from the input";
+        },
+        [&](int) { fresh = input.edges; });
   }
   return h.finish();
 }

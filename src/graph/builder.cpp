@@ -4,6 +4,23 @@
 
 namespace ga::graph {
 
+namespace {
+
+// counts[v + 1] holds v's count on entry; on return counts[v] is the first
+// slot of v's bucket and counts[n] the total.
+void prefix_sum(std::vector<eid_t>& counts) {
+  for (std::size_t i = 1; i < counts.size(); ++i) counts[i] += counts[i - 1];
+}
+
+}  // namespace
+
+// Two counting passes and no comparisons between arcs. An arc's rank is
+// its position in the symmetrized list: the kept edges by input index,
+// then (undirected) their reverses by input index. Pass 1 buckets arcs by
+// target in rank order; pass 2 walks targets in ascending order and
+// appends each to its source's list, so every list comes out in ascending
+// target order, with the copies of a duplicate arc adjacent and in rank
+// order. Keeping the first copy keeps the first-seen weight.
 CSRGraph build_csr(std::vector<Edge> edges, vid_t num_vertices,
                    const BuildOptions& opts) {
   vid_t n = num_vertices;
@@ -14,41 +31,86 @@ CSRGraph build_csr(std::vector<Edge> edges, vid_t num_vertices,
       GA_CHECK(e.u < n && e.v < n, "edge endpoint out of range");
     }
   }
+  const bool symmetrize = !opts.directed;
+  const bool keep_w = opts.keep_weights;
+  const auto kept = [&](const Edge& e) {
+    return !opts.remove_self_loops || e.u != e.v;
+  };
 
-  if (opts.remove_self_loops) {
-    std::erase_if(edges, [](const Edge& e) { return e.u == e.v; });
+  // Bucket bounds by target (pass 1) and by source (pass 2). A
+  // symmetrized arc set has equal in- and out-degrees, so one array
+  // serves both.
+  std::vector<eid_t> by_target(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<eid_t> by_source;
+  if (!symmetrize) by_source.assign(by_target.size(), 0);
+  for (const Edge& e : edges) {
+    if (!kept(e)) continue;
+    ++by_target[e.v + 1];
+    ++(symmetrize ? by_target : by_source)[e.u + 1];
   }
+  prefix_sum(by_target);
+  if (!symmetrize) prefix_sum(by_source);
+  const std::vector<eid_t>& source_start = symmetrize ? by_target : by_source;
+  const eid_t arcs = by_target[n];
 
-  if (!opts.directed) {
-    // Symmetrize: store the reverse arc for every edge.
-    const std::size_t m = edges.size();
-    edges.reserve(m * 2);
-    for (std::size_t i = 0; i < m; ++i) {
-      Edge r = edges[i];
-      std::swap(r.u, r.v);
-      edges.push_back(r);
+  // Pass 1: sources (and weights) bucketed by target, in rank order.
+  // by_target[t] is t's write cursor, which leaves it at the start of
+  // t + 1; one shift restores the starts.
+  std::vector<vid_t> src(arcs);
+  std::vector<float> src_w(keep_w ? arcs : 0);
+  const auto put = [&](vid_t s, vid_t t, float w) {
+    const eid_t slot = by_target[t]++;
+    src[slot] = s;
+    if (keep_w) src_w[slot] = w;
+  };
+  for (const Edge& e : edges) {
+    if (kept(e)) put(e.u, e.v, e.w);
+  }
+  if (symmetrize) {
+    for (const Edge& e : edges) {
+      if (kept(e)) put(e.v, e.u, e.w);
     }
   }
+  // Free the input before pass 2 allocates: a caller's resident set is
+  // set by this function's heap high-water mark (DESIGN.md §17).
+  std::vector<Edge>().swap(edges);
+  std::copy_backward(by_target.begin(), by_target.end() - 1, by_target.end());
+  by_target[0] = 0;
 
-  // Sort by (source, target); stable so the first-seen weight of a
-  // duplicate arc wins after unique().
-  std::stable_sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
-    return a.u != b.u ? a.u < b.u : a.v < b.v;
-  });
-  if (opts.dedup_parallel_edges) {
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  // Pass 2: targets (and weights) by source. A duplicate is a target
+  // equal to the one its source's list received last.
+  const bool dedup = opts.dedup_parallel_edges;
+  std::vector<eid_t> list_end(source_start.begin(), source_start.end() - 1);
+  std::vector<vid_t> tgt(arcs);
+  std::vector<float> tgt_w(keep_w ? arcs : 0);
+  for (vid_t t = 0; t < n; ++t) {
+    for (eid_t i = by_target[t]; i < by_target[t + 1]; ++i) {
+      const vid_t s = src[i];
+      eid_t& slot = list_end[s];
+      if (dedup && slot != source_start[s] && tgt[slot - 1] == t) continue;
+      tgt[slot] = t;
+      if (keep_w) tgt_w[slot] = src_w[i];
+      ++slot;
+    }
   }
+  std::vector<vid_t>().swap(src);
+  std::vector<float>().swap(src_w);
 
+  // Close the gaps the dropped duplicates left, into exact-size arrays.
   std::vector<eid_t> offsets(static_cast<std::size_t>(n) + 1, 0);
-  for (const Edge& e : edges) ++offsets[e.u + 1];
-  for (vid_t i = 0; i < n; ++i) offsets[i + 1] += offsets[i];
-
-  std::vector<vid_t> targets(edges.size());
-  std::vector<float> weights;
-  if (opts.keep_weights) weights.resize(edges.size());
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    targets[i] = edges[i].v;
-    if (opts.keep_weights) weights[i] = edges[i].w;
+  for (vid_t s = 0; s < n; ++s) {
+    offsets[s + 1] = offsets[s] + (list_end[s] - source_start[s]);
+  }
+  std::vector<vid_t> targets(offsets[n]);
+  std::vector<float> weights(keep_w ? offsets[n] : 0);
+  for (vid_t s = 0; s < n; ++s) {
+    const auto from = static_cast<std::ptrdiff_t>(source_start[s]);
+    const auto to = static_cast<std::ptrdiff_t>(list_end[s]);
+    const auto at = static_cast<std::ptrdiff_t>(offsets[s]);
+    std::copy(tgt.begin() + from, tgt.begin() + to, targets.begin() + at);
+    if (keep_w) {
+      std::copy(tgt_w.begin() + from, tgt_w.begin() + to, weights.begin() + at);
+    }
   }
   return CSRGraph(std::move(offsets), std::move(targets), std::move(weights),
                   opts.directed);

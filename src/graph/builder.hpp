@@ -1,7 +1,7 @@
 // Edge-list → CSR construction with the clean-up steps every real pipeline
 // needs: self-loop removal, duplicate-arc removal (keeping the first
-// weight), optional symmetrization for undirected graphs, and per-vertex
-// adjacency sorting.
+// weight), optional symmetrization for undirected graphs, and adjacency
+// lists in ascending target order.
 #pragma once
 
 #include <vector>

@@ -87,14 +87,11 @@ void CSRGraph::ensure_transpose() const {
   for (vid_t tgt : targets_) ++t->offsets[tgt + 1];
   for (vid_t i = 0; i < n_; ++i) t->offsets[i + 1] += t->offsets[i];
   t->targets.resize(targets_.size());
+  // Sources are scattered in ascending order, so every in-list comes out
+  // sorted, matching the out-lists for binary search.
   std::vector<eid_t> cursor(t->offsets.begin(), t->offsets.end() - 1);
   for (vid_t u = 0; u < n_; ++u) {
     for (vid_t v : out_neighbors(u)) t->targets[cursor[v]++] = u;
-  }
-  // Sort each in-adjacency list for binary-search parity with out-lists.
-  for (vid_t v = 0; v < n_; ++v) {
-    std::sort(t->targets.begin() + static_cast<std::ptrdiff_t>(t->offsets[v]),
-              t->targets.begin() + static_cast<std::ptrdiff_t>(t->offsets[v + 1]));
   }
   // Publish; a concurrent builder that wins the CAS makes ours redundant.
   Transpose* expected = nullptr;

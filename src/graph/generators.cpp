@@ -25,11 +25,13 @@ std::vector<Edge> rmat_edges(const RmatParams& p) {
     vid_t u = 0, v = 0;
     for (unsigned bit = 0; bit < p.scale; ++bit) {
       const double r = rng.next_double();
-      // Quadrant choice per recursion level.
-      const unsigned ubit = (r >= ab) ? 1u : 0u;
-      const unsigned vbit = (r >= p.a && r < ab) || (r >= abc) ? 1u : 0u;
-      u = (u << 1) | ubit;
-      v = (v << 1) | vbit;
+      // Quadrant choice per recursion level. `&` and `|` on bools make
+      // every comparison evaluate, so the choice costs no data-dependent
+      // branch (the draws are random, so such a branch mispredicts).
+      const bool ubit = r >= ab;
+      const bool vbit = ((r >= p.a) & (r < ab)) | (r >= abc);
+      u = (u << 1) | static_cast<vid_t>(ubit);
+      v = (v << 1) | static_cast<vid_t>(vbit);
     }
     edges.push_back(Edge{u, v, 1.0f, static_cast<std::int64_t>(i)});
   }

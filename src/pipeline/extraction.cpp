@@ -36,17 +36,14 @@ ExtractedSubgraph extract(const GraphStore& store,
   const std::vector<vid_t> members =
       kernels::khop_neighborhood(view, seeds, opts.depth);
 
-  const auto local_of = [&](vid_t v) -> vid_t {
-    const auto it = std::lower_bound(members.begin(), members.end(), v);
-    return (it != members.end() && *it == v)
-               ? static_cast<vid_t>(it - members.begin())
-               : kInvalidVid;
-  };
+  // Dense global → local map: one load per arc decides membership.
+  std::vector<vid_t> local_of(view.num_vertices(), kInvalidVid);
+  for (vid_t l = 0; l < members.size(); ++l) local_of[members[l]] = l;
 
   std::vector<graph::Edge> edges;
   for (vid_t lu = 0; lu < members.size(); ++lu) {
     view.for_each_out(members[lu], [&](vid_t v, float w) {
-      const vid_t lv = local_of(v);
+      const vid_t lv = local_of[v];
       if (lv == kInvalidVid || lv <= lu) return;
       edges.push_back(graph::Edge{lu, lv, w, 0});
     });

@@ -654,13 +654,12 @@ QueryResult QueryScheduler::run_kernel(const QueryDesc& desc,
     }
     case QueryKind::kSubgraphExtract: {
       r.members = kernels::khop_neighborhood(v, {desc.seed}, desc.depth);
-      // Arc count inside the neighborhood: members is sorted, so each
-      // adjacency probe is a binary search over the merged iteration.
+      // Arc count inside the neighborhood: one mark load per arc.
+      std::vector<std::uint8_t> member(n, 0);
+      for (const vid_t u : r.members) member[u] = 1;
       eid_t arcs = 0;
       for (const vid_t u : r.members) {
-        v.for_each_out(u, [&](vid_t w, float) {
-          arcs += std::binary_search(r.members.begin(), r.members.end(), w);
-        });
+        v.for_each_out(u, [&](vid_t w, float) { arcs += member[w]; });
       }
       r.subgraph_arcs = arcs;
       // Membership is decided by the adjacency of vertices within the

@@ -4,6 +4,7 @@
 
 #include <functional>
 
+#include "core/hash.hpp"
 #include "graph/builder.hpp"
 #include "graph/degree_stats.hpp"
 #include "graph/generators.hpp"
@@ -76,6 +77,42 @@ TEST(Rmat, ProducesRequestedEdgeCount) {
   for (const Edge& e : edges) {
     EXPECT_LT(e.u, 64u);
     EXPECT_LT(e.v, 64u);
+  }
+}
+
+template <typename T>
+std::uint64_t digest(const std::vector<T>& xs) {
+  std::uint64_t h = core::hash_combine(0, xs.size());
+  for (const T& x : xs) h = core::hash_combine(h, static_cast<std::uint64_t>(x));
+  return h;
+}
+
+std::uint64_t digest(const std::vector<Edge>& edges) {
+  std::uint64_t h = core::hash_combine(0, edges.size());
+  for (const Edge& e : edges) {
+    h = core::hash_combine(h, e.u);
+    h = core::hash_combine(h, e.v);
+    h = core::hash_combine(h, static_cast<std::uint64_t>(e.ts));
+  }
+  return h;
+}
+
+// The RMAT draw stream and the graphs built from it are pinned: every
+// test graph, golden file and benchmark input depends on them.
+TEST(Rmat, StreamIsPinned) {
+  struct Pinned {
+    unsigned scale;
+    std::uint64_t edges, offsets, targets;
+  };
+  for (const Pinned& p : {Pinned{10, 0x08e3243d84a7e619ULL,
+                                 0x05083e7bde296dbcULL, 0xa153627a5df39d7fULL},
+                          Pinned{16, 0x47889f51307f5625ULL,
+                                 0x8fde96f6948d7fe6ULL, 0xe128a0c5b417f02cULL}}) {
+    const RmatParams params{.scale = p.scale, .edge_factor = 16, .seed = 1};
+    EXPECT_EQ(digest(rmat_edges(params)), p.edges) << "scale " << p.scale;
+    const auto g = make_rmat(params);
+    EXPECT_EQ(digest(g.offsets()), p.offsets) << "scale " << p.scale;
+    EXPECT_EQ(digest(g.targets()), p.targets) << "scale " << p.scale;
   }
 }
 

@@ -2,9 +2,12 @@
 // selection, extraction/write-back, NORA, and the end-to-end Fig. 2 flow.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <sstream>
 #include <unordered_set>
 
+#include "graph/builder.hpp"
 #include "pipeline/analytics.hpp"
 #include "pipeline/dedup.hpp"
 #include "pipeline/extraction.hpp"
@@ -238,6 +241,64 @@ TEST(Extraction, MembersAreExactlyTheKHopBall) {
       }
     }
   }
+}
+
+// extract()'s former member lookup: one binary search over the sorted
+// members per arc, feeding the same build_csr call.
+graph::CSRGraph extract_by_search(const GraphStore& store,
+                                  const std::vector<vid_t>& members) {
+  const store::GraphView view = store.view();
+  const auto local_of = [&](vid_t v) -> vid_t {
+    const auto it = std::lower_bound(members.begin(), members.end(), v);
+    return (it != members.end() && *it == v)
+               ? static_cast<vid_t>(it - members.begin())
+               : kInvalidVid;
+  };
+  std::vector<graph::Edge> edges;
+  for (vid_t lu = 0; lu < members.size(); ++lu) {
+    view.for_each_out(members[lu], [&](vid_t v, float w) {
+      const vid_t lv = local_of(v);
+      if (lv == kInvalidVid || lv <= lu) return;
+      edges.push_back(graph::Edge{lu, lv, w, 0});
+    });
+  }
+  graph::BuildOptions bopts;
+  bopts.directed = false;
+  bopts.keep_weights = true;
+  return graph::build_csr(std::move(edges),
+                          static_cast<vid_t>(members.size()), bopts);
+}
+
+TEST(Extraction, CsrMatchesBinarySearchExtraction) {
+  const auto corpus = generate_corpus(small_corpus_opts());
+  const auto dedup = dedup_batch(corpus.records);
+  GraphStore store(dedup.entities, corpus.num_addresses);
+  const auto weight_bits = [](const std::vector<float>& w) {
+    std::vector<std::uint32_t> bits(w.size());
+    if (!w.empty()) std::memcpy(bits.data(), w.data(), w.size() * sizeof(float));
+    return bits;
+  };
+  const auto check = [&](const std::vector<vid_t>& seeds) {
+    for (std::uint32_t depth : {0u, 1u, 2u, 3u}) {
+      ExtractionOptions opts;
+      opts.depth = depth;
+      const auto sub = extract(store, seeds, opts);
+      const auto want = extract_by_search(store, sub.members());
+      const auto& got = sub.graph();
+      EXPECT_EQ(got.offsets(), want.offsets()) << "depth " << depth;
+      EXPECT_EQ(got.targets(), want.targets()) << "depth " << depth;
+      EXPECT_EQ(weight_bits(got.weights()), weight_bits(want.weights()))
+          << "depth " << depth;
+    }
+  };
+  check({0});
+  check({0, 3, 9});
+  // Sightings after the first view() leave a delta chain to read through.
+  for (vid_t p = 0; p < 20; ++p) {
+    store.add_residency(p, (p * 7) % corpus.num_addresses, 1000 + p);
+  }
+  check({0, 3, 9});
+  check({5, 17});
 }
 
 TEST(Extraction, WriteBackPropagatesAnalyticColumns) {

@@ -4,6 +4,7 @@
 // batching determinism, and the streaming/pipeline epoch-publication hooks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -259,6 +260,36 @@ TEST_F(SchedulerKinds, SubgraphExtractMatchesKhop) {
   const auto ref = kernels::khop_neighborhood(g_, {11}, 2);
   EXPECT_EQ(r.members, ref);
   EXPECT_GT(r.subgraph_arcs, 0u);
+}
+
+// The served arc count's former body: one binary search over the sorted
+// members per arc of every member.
+eid_t subgraph_arcs_by_search(const graph::CSRGraph& g,
+                              const std::vector<vid_t>& members) {
+  eid_t arcs = 0;
+  for (const vid_t u : members) {
+    for (const vid_t w : g.out_neighbors(u)) {
+      arcs += std::binary_search(members.begin(), members.end(), w);
+    }
+  }
+  return arcs;
+}
+
+TEST_F(SchedulerKinds, SubgraphExtractArcsMatchBinarySearchCount) {
+  for (vid_t seed = 0; seed < g_.num_vertices(); seed += 17) {
+    for (const std::uint32_t depth : {0u, 1u, 2u, 3u}) {
+      QueryDesc q;
+      q.kind = QueryKind::kSubgraphExtract;
+      q.seed = seed;
+      q.depth = depth;
+      const QueryResult r = server_->submit(q).get();
+      ASSERT_TRUE(r.ok()) << query_status_name(r.status);
+      const auto members = kernels::khop_neighborhood(g_, {seed}, depth);
+      EXPECT_EQ(r.members, members) << "seed " << seed << " depth " << depth;
+      EXPECT_EQ(r.subgraph_arcs, subgraph_arcs_by_search(g_, members))
+          << "seed " << seed << " depth " << depth;
+    }
+  }
 }
 
 TEST_F(SchedulerKinds, OutOfRangeSeedFailsCleanly) {
