@@ -3,13 +3,11 @@
 // streams, swept over stream size and key-domain size.
 //
 // --faults: resilience overhead mode — the fixed-key ingest measured
-// bare, behind the bounded backpressure queue, and flow-controlled with
-// every packet write-ahead logged at ingress (group commit), reporting
-// the throughput cost of durability + flow control on the firehose path.
+// bare and behind the bounded backpressure queue, reporting the
+// throughput cost of flow control on the firehose path.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,7 +15,6 @@
 #include "bench_json.hpp"
 #include "core/timer.hpp"
 #include "resilience/ingest_queue.hpp"
-#include "resilience/wal.hpp"
 #include "streaming/anomaly.hpp"
 
 using namespace ga;
@@ -39,10 +36,9 @@ int run_faults_mode() {
   const auto stream = generate_packet_stream(opts);
   const double n = static_cast<double>(stream.packets.size());
 
-  // The queue handoff is condvar-timing noisy, so the two flow-controlled
-  // configurations are timed in interleaved reps and each is read as its
-  // median rep — interleaving controls for machine-state drift, the median
-  // discards scheduler outliers in either direction.
+  // The queue handoff is condvar-timing noisy, so each configuration is
+  // timed over several reps and read as its median rep, which discards
+  // scheduler outliers in either direction.
   constexpr int kReps = 7;
   const auto median = [](std::vector<double> v) {
     std::sort(v.begin(), v.end());
@@ -64,84 +60,40 @@ int run_faults_mode() {
 
   // Backpressure: a producer thread offers the stream into a bounded
   // kBlock queue; the consumer ingests — the Fig. 2 decoupling.
-  // Backpressure + WAL: same shape with the write-ahead log at ingress —
-  // the producer group-commit appends each packet before enqueueing it, so
-  // a crash anywhere downstream can replay the stream from the log. The
-  // WAL row isolates what that durability costs on top of flow control.
   resilience::QueueStats bp_stats;
-  std::uint64_t wal_bytes = 0;
-  const std::string wal_path =
-      (std::filesystem::temp_directory_path() / "ga_firehose_wal.log")
-          .string();
-  std::vector<double> bp_reps, wal_reps;
+  std::vector<double> bp_reps;
   for (int rep = 0; rep < kReps; ++rep) {
-    {
-      FixedKeyAnomaly det(opts.num_keys);
-      resilience::QueueOptions qopts;
-      qopts.capacity = 4096;
-      resilience::IngestQueue<Packet> queue(qopts);
-      core::WallTimer t;
-      std::thread producer([&] {
-        for (const auto& p : stream.packets) queue.push(p);
-        queue.close();
-      });
-      while (auto p = queue.pop()) det.ingest(*p);
-      producer.join();
-      bp_reps.push_back(t.seconds());
-      bp_stats = queue.stats();
-      GA_CHECK(det.events().size() == bare_events,
-               "backpressure changed detection");
-    }
-    {
-      FixedKeyAnomaly det(opts.num_keys);
-      resilience::QueueOptions qopts;
-      qopts.capacity = 4096;
-      resilience::IngestQueue<Packet> queue(qopts);
-      resilience::WalWriter wal(wal_path, /*truncate=*/true,
-                                /*group_commit_bytes=*/64 * 1024,
-                                /*async_drain=*/true);
-      core::WallTimer t;
-      std::thread producer([&] {
-        std::uint64_t seq = 0;
-        for (const auto& p : stream.packets) {
-          wal.append(++seq, &p, sizeof(p));
-          queue.push(p);
-        }
-        wal.flush();
-        queue.close();
-      });
-      while (auto p = queue.pop()) det.ingest(*p);
-      producer.join();
-      wal_reps.push_back(t.seconds());
-      wal_bytes = resilience::file_size(wal_path);
-      GA_CHECK(det.events().size() == bare_events, "WAL changed detection");
-    }
+    FixedKeyAnomaly det(opts.num_keys);
+    resilience::QueueOptions qopts;
+    qopts.capacity = 4096;
+    resilience::IngestQueue<Packet> queue(qopts);
+    core::WallTimer t;
+    std::thread producer([&] {
+      for (const auto& p : stream.packets) queue.push(p);
+      queue.close();
+    });
+    while (auto p = queue.pop()) det.ingest(*p);
+    producer.join();
+    bp_reps.push_back(t.seconds());
+    bp_stats = queue.stats();
+    GA_CHECK(det.events().size() == bare_events,
+             "backpressure changed detection");
   }
   const double bp_secs = median(bp_reps);
-  const double wal_secs = median(wal_reps);
 
   // The bare row is context: a tight in-cache counter loop that nothing
-  // with a thread handoff can match. The acceptance number is the WAL
-  // increment over the queued configuration it actually runs behind.
-  const double wal_over_bp = 100.0 * (wal_secs - bp_secs) / bp_secs;
+  // with a thread handoff can match.
   std::printf("%-24s %12s %10s\n", "configuration", "Mpkts/s", "overhead");
   std::printf("%-24s %12.2f %10s\n", "bare (unprotected)", n / bare_secs / 1e6,
               "--");
-  std::printf("%-24s %12.2f %9s%%  (max depth %zu, high events %llu)\n",
-              "backpressure queue", n / bp_secs / 1e6, "0.0",
-              bp_stats.max_depth,
+  std::printf("%-24s %12.2f %9.1f%%  (max depth %zu, high events %llu)\n",
+              "backpressure queue", n / bp_secs / 1e6,
+              100.0 * (bp_secs - bare_secs) / bare_secs, bp_stats.max_depth,
               static_cast<unsigned long long>(bp_stats.high_events));
-  std::printf("%-24s %12.2f %9.1f%%  (%.1f MB logged, async group commit)\n",
-              "backpressure + WAL", n / wal_secs / 1e6, wal_over_bp,
-              static_cast<double>(wal_bytes) / 1e6);
-  GA_CHECK(wal_over_bp <= 25.0, "WAL overhead exceeds 25% budget");
   std::printf(
-      "\nShape: logging at ingress — slice-by-8 CRC on the critical path,\n"
-      "group-commit buffers drained by a background writer — keeps\n"
-      "durability to a small slice of the flow-controlled ingest cost; the\n"
-      "bounded queue caps memory and gives the producer a backpressure\n"
-      "signal instead of OOM.\n");
-  std::filesystem::remove(wal_path);
+      "\nShape: the bounded queue caps memory and gives the producer a\n"
+      "backpressure signal instead of OOM, at the cost of one thread\n"
+      "handoff per packet.\n");
   return 0;
 }
 

@@ -1,5 +1,5 @@
 // Hashing helpers used by dedup blocking keys, anomaly-kernel key tables,
-// the edge-dedup hash sets, and the resilience layer's WAL record CRCs.
+// the edge-dedup hash sets, and the record_io frame CRCs.
 #pragma once
 
 #include <array>
@@ -47,8 +47,8 @@ namespace detail {
 /// tables, built at compile time so the header stays dependency-free.
 /// Table 0 is the classic byte-at-a-time table; tables 1..7 advance a byte
 /// through 1..7 further zero bytes, letting the hot loop fold 8 input
-/// bytes per iteration — the WAL append path CRCs every record, so this is
-/// on the streaming ingest critical path.
+/// bytes per iteration — every epoch-log append and dist message CRCs its
+/// whole frame, so this is on the durable write path.
 constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc32_tables() {
   std::array<std::array<std::uint32_t, 256>, 8> t{};
   for (std::uint32_t i = 0; i < 256; ++i) {

@@ -3,14 +3,14 @@
 //
 // A message on the wire is one record in the shared record_io framing —
 //   [u32 payload_len][u32 crc][u64 seq][u16 type][body bytes]
-// — the same discipline the ingest WAL and the epoch log write to disk,
-// carried over an AF_UNIX stream socket instead of a file. The CRC-32
-// covers [seq][type][body]; seq is a per-direction message counter, so a
-// dropped or duplicated frame surfaces as a sequence gap even when its CRC
-// is intact. A peer killed mid-send leaves a torn frame, which the reader
+// — the same discipline the epoch log writes to disk, carried over an
+// AF_UNIX stream socket instead of a file. The CRC-32 covers
+// [seq][type][body]; seq is a per-direction message counter, so a dropped
+// or duplicated frame surfaces as a sequence gap even when its CRC is
+// intact. A peer killed mid-send leaves a torn frame, which the reader
 // reports as kUnavailable (the crash artifact fail-over reacts to), while
-// a CRC mismatch on a complete frame is kDataLoss — exactly the durable
-// logs' torn-tail / corruption split.
+// a CRC mismatch on a complete frame is kDataLoss — exactly the epoch
+// log's torn-tail / corruption split.
 //
 // MsgChannel is strictly request/reply per direction and not thread-safe;
 // the coordinator serializes access per shard (queries vs heartbeats take
@@ -130,7 +130,8 @@ class ByteReader {
     GA_CHECK(count <= (len_ - at_) / sizeof(T),
              "dist message: vector length past payload");
     std::vector<T> v(count);
-    std::memcpy(v.data(), data_ + at_, count * sizeof(T));
+    // memcpy must not see the null data() of an empty vector.
+    if (count > 0) std::memcpy(v.data(), data_ + at_, count * sizeof(T));
     at_ += count * sizeof(T);
     return v;
   }

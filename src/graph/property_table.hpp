@@ -70,8 +70,8 @@ class PropertyTable {
   static PropertyTable deserialize(std::istream& is);
 
   /// Order-sensitive content digest over rows, column names/types, and
-  /// every value (doubles by bit pattern). Used by the resilience layer to
-  /// verify that WAL recovery reproduces property state exactly.
+  /// every value (doubles by bit pattern). Folded into
+  /// pipeline::GraphStore::content_digest().
   std::uint64_t digest() const;
 
  private:

@@ -90,8 +90,9 @@ class GraphStore {
   /// Content digest over vertex counts, adjacency (neighbor-sorted, so the
   /// physical edge-block layout doesn't matter), weights, timestamps, and
   /// all property columns. Two stores with equal digests hold identical
-  /// logical state — the recovery invariant checked by the resilience
-  /// layer (snapshot + WAL replay must reproduce this exactly).
+  /// logical state. Wider than store::view_digest(): the epoch log that
+  /// set_epoch_log() attaches records adjacency and weights only, not
+  /// timestamps or the property table.
   std::uint64_t content_digest() const;
 
   /// Binary persistence — the Fig. 2 store outlives any single analytic.

@@ -2,9 +2,9 @@
 // fault specs (throw on the Nth call of a stage, inject latency every Kth
 // call); a FaultInjector threads the plan through instrumented points in
 // the pipeline (the StageExecutor consults it before every stage attempt).
-// File-level WAL faults (torn tail, CRC corruption) are applied between
-// runs with the helpers in wal.hpp. Everything is a pure function of the
-// plan and the call order, so chaos tests replay bit-identically.
+// File-level log faults (torn tail, CRC corruption) are applied between
+// runs with the helpers in record_io.hpp. Everything is a pure function of
+// the plan and the call order, so chaos tests replay bit-identically.
 #pragma once
 
 #include <cstdint>

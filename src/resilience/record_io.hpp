@@ -1,10 +1,9 @@
-// Shared CRC-framed record I/O: the one framing discipline every durable
-// log in the system speaks. A record on disk is
+// Shared CRC-framed record I/O. A record is
 //   [u32 payload_len][u32 crc][u64 seq][payload bytes]
 // where the CRC-32 (core/hash.hpp) covers the sequence number and the
-// payload. Both the ingest WAL (wal.hpp) and the store's epoch log
-// (store/epoch_log.hpp) frame with these helpers, so their recovery scans
-// share one torn-tail / corruption contract:
+// payload. The store's epoch log (store/epoch_log.hpp) writes these frames
+// to disk and the dist message channel (dist/message.hpp) to a socket;
+// every scan shares one torn-tail / corruption contract:
 //
 //  * A frame that extends past end-of-file is a TORN TAIL — the expected
 //    artifact of a crash mid-append. The valid prefix is returned and the
@@ -48,9 +47,7 @@ inline constexpr std::size_t frame_size(std::size_t payload_len) {
 
 /// Frame one record into `dst` (which must hold frame_size(len) bytes):
 /// memcpy the [seq][payload] span, CRC it in one pass, then prepend the
-/// header. Returns the framed byte count. Inline so the CRC loop unrolls
-/// for compile-time record sizes — this is the per-record cost on both the
-/// firehose ingest path and the epoch-log append path.
+/// header. Returns the framed byte count.
 inline std::size_t frame_record(char* dst, std::uint64_t seq,
                                 const void* payload, std::size_t len) {
   GA_ASSERT(len <= kMaxPayload);
@@ -110,7 +107,7 @@ struct RecordScanResult {
   core::Status status() const {
     if (corrupt_records > 0) {
       return core::Status::DataLoss(std::to_string(corrupt_records) +
-                                    " corrupt WAL record(s)");
+                                    " corrupt record(s)");
     }
     return core::Status::Ok();
   }

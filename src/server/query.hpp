@@ -83,8 +83,8 @@ enum class QueryStatus : std::uint8_t {
 const char* query_status_name(QueryStatus s);
 
 /// The serving outcome in the unified core::Status taxonomy — what traces
-/// and the metrics exposition record, so a rejected query and a failed WAL
-/// read share one status vocabulary.
+/// and the metrics exposition record, so a rejected query and a failed
+/// epoch-log read share one status vocabulary.
 core::StatusCode status_code(QueryStatus s);
 
 /// Vertex-set dependency footprint of one query answer: the vertices whose

@@ -59,7 +59,10 @@ std::vector<T> get_vec(const char* data, std::size_t len, std::size_t* at) {
   const auto count = get<std::uint64_t>(data, len, &*at);
   GA_CHECK(count <= (len - *at) / sizeof(T), "epoch log: vector past payload");
   std::vector<T> v(count);
-  std::memcpy(v.data(), data + *at, count * sizeof(T));
+  // memcpy must not see the null data() of an empty vector.
+  if (count > 0) {
+    std::memcpy(static_cast<void*>(v.data()), data + *at, count * sizeof(T));
+  }
   *at += count * sizeof(T);
   return v;
 }

@@ -2,11 +2,14 @@
 //
 // Every sealed epoch is appended as one CRC-framed record — the raw
 // DeltaBatch op stream plus the DeltaSummary the store derived at seal —
-// using the shared record_io framing (same discipline as the ingest WAL),
-// fsync'd before apply() acknowledges. Periodically the log checkpoints
-// the compacted base: the current GraphView is flattened to one CSR image
-// (plus folded properties) written tmp → fsync → rename → dir-fsync, and
-// the log is truncated past it.
+// using the shared record_io framing, fsync'd before apply() acknowledges.
+// Periodically the log checkpoints the compacted base: the current
+// GraphView is flattened to one CSR image (plus folded properties) written
+// tmp → fsync → rename → dir-fsync, and the log is truncated past it.
+//
+// This is the one durable log of the system: served stores, shard
+// processes, and the streaming and pipeline layers (set_epoch_log) all
+// write it.
 //
 // Durability contract (proved by tests/test_recovery.cpp):
 //  * acked  ⇒ durable: apply() returns only after the epoch record is

@@ -1,9 +1,10 @@
-// Fault-tolerance suite: WAL framing + torn-tail/corruption handling,
-// checkpoint/recovery crash sweeps (the recovery invariant: recover() is
-// content-digest-identical to the uninterrupted run), backpressure queue
-// policy semantics, deterministic fault injection, retry/deadline
-// degradation, dead-letter quarantine, and the resilient streaming paths
-// (StreamProcessor + CanonicalFlow).
+// Fault-tolerance suite: record framing, the store epoch log under the
+// pipeline's GraphStore (torn tails, corruption policies, the checkpoint
+// crash window, and a crash sweep whose recovery must match an uncrashed
+// twin's view digest), backpressure queue policy semantics, deterministic
+// fault injection, retry/deadline degradation, dead-letter quarantine, and
+// the resilient streaming paths (StreamProcessor + CanonicalFlow) with
+// their epoch-log hooks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,22 +19,33 @@
 #include <vector>
 
 #include "core/prng.hpp"
+#include "graph/builder.hpp"
 #include "graph/dynamic_graph.hpp"
 #include "pipeline/flow.hpp"
 #include "pipeline/graph_store.hpp"
 #include "pipeline/record.hpp"
 #include "resilience/dead_letter.hpp"
-#include "resilience/durable_store.hpp"
 #include "resilience/fault_injection.hpp"
 #include "resilience/ingest_queue.hpp"
+#include "resilience/record_io.hpp"
 #include "resilience/retry.hpp"
-#include "resilience/wal.hpp"
+#include "store/delta.hpp"
+#include "store/delta_summary.hpp"
+#include "store/epoch_log.hpp"
+#include "store/recovery.hpp"
+#include "store/versioned_store.hpp"
 #include "streaming/trigger.hpp"
 
 namespace ga::resilience {
 namespace {
 
 namespace fs = std::filesystem;
+using store::DeltaBatch;
+using store::DeltaSummary;
+using store::EpochLog;
+using store::GraphView;
+using store::VersionedGraphStore;
+using store::view_digest;
 
 std::string fresh_dir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/ga_resilience_" + name;
@@ -42,7 +54,212 @@ std::string fresh_dir(const std::string& name) {
   return dir;
 }
 
-// --- WAL framing ------------------------------------------------------------
+std::vector<char> read_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+std::vector<char> encoded(const DeltaBatch& batch) {
+  std::vector<char> out;
+  batch.encode(&out);
+  return out;
+}
+
+store::RecoveryOptions recovery_opts(
+    const std::string& dir, CorruptionPolicy policy = CorruptionPolicy::kStop) {
+  store::RecoveryOptions opts;
+  opts.dir = dir;
+  opts.policy = policy;
+  return opts;
+}
+
+/// Byte offset of the first payload byte of the `index`-th (0-based)
+/// record of a framed log.
+std::uint64_t payload_offset(const std::string& path, std::size_t index) {
+  const RecordScanResult scan = scan_records(path);
+  GA_CHECK(index < scan.records.size(), "payload_offset: no such record");
+  std::uint64_t at = 0;
+  for (std::size_t i = 0; i < index; ++i) {
+    at += recio::frame_size(scan.records[i].payload.size());
+  }
+  return at + recio::kFrameHeader + recio::kSeqBytes;
+}
+
+// --- epoch log records -------------------------------------------------------
+// The Wal.* bodies ran on the ingest WAL until it was deleted. Under their
+// old names they now check the same properties of the store's EpochLog, the
+// one durable log left.
+
+constexpr vid_t kLogVertices = 96;
+
+/// A seeded base graph plus one batch per epoch (batches[i] is epoch i+1)
+/// mixing inserts, deletes, weight upserts, vertex growth and property
+/// patches.
+struct EpochStream {
+  graph::CSRGraph base;
+  std::vector<DeltaBatch> batches;
+};
+
+EpochStream epoch_stream(int epochs, std::uint64_t seed) {
+  core::Xoshiro256 rng(seed);
+  std::vector<graph::Edge> edges;
+  for (int i = 0; i < 240; ++i) {
+    const vid_t u = rng.next_vid(kLogVertices);
+    const vid_t v = (u + 1 + rng.next_vid(kLogVertices - 1)) % kLogVertices;
+    edges.push_back({u, v});
+  }
+  EpochStream s{graph::build_undirected(std::move(edges), kLogVertices), {}};
+  vid_t n = kLogVertices;
+  for (int e = 1; e <= epochs; ++e) {
+    DeltaBatch b(/*directed=*/false);
+    if (e % 5 == 0) {
+      b.add_vertices(1);
+      ++n;
+    }
+    for (int i = 0; i < 12; ++i) {
+      const vid_t u = rng.next_vid(n);
+      const vid_t v = (u + 1 + rng.next_vid(n - 1)) % n;
+      if (rng.next_below(4) == 0) {
+        b.delete_edge(u, v);
+      } else {
+        b.insert_edge(u, v, static_cast<float>(1 + rng.next_below(4)));
+      }
+    }
+    if (e % 3 == 0) {
+      b.set_vertex_property(rng.next_vid(n), static_cast<float>(e));
+    }
+    s.batches.push_back(std::move(b));
+  }
+  return s;
+}
+
+store::CompactionPolicy manual_compaction() {
+  store::CompactionPolicy pol;
+  pol.auto_compact = false;
+  return pol;
+}
+
+/// Applies every batch of `s` through a store with a log attached, then
+/// drops both (the crash). Returns the view digest after each epoch:
+/// digests[k] is the uncrashed state at epoch k.
+std::vector<std::uint64_t> log_epochs(const EpochStream& s,
+                                      const store::EpochLogOptions& opts) {
+  EpochLog log(opts);
+  VersionedGraphStore st(s.base);
+  log.attach(st);
+  std::vector<std::uint64_t> digests{view_digest(st.view())};
+  for (const DeltaBatch& b : s.batches) {
+    st.apply(b);
+    digests.push_back(view_digest(st.view()));
+  }
+  return digests;
+}
+
+TEST(Wal, AppendScanRoundTrip) {
+  // Moved from the deleted ingest WAL's append + scan onto an EpochLog.
+  const std::string dir = fresh_dir("wal_roundtrip");
+  const EpochStream s = epoch_stream(60, 3);
+  log_epochs(s, {.dir = dir});
+  const std::string path = EpochLog::log_path(dir);
+  const RecordScanResult scan = scan_records(path);
+  EXPECT_FALSE(scan.torn_tail);
+  EXPECT_EQ(scan.corrupt_records, 0u);
+  EXPECT_EQ(scan.bytes_valid, file_size(path));
+  ASSERT_EQ(scan.records.size(), s.batches.size());
+  for (std::size_t i = 0; i < s.batches.size(); ++i) {
+    EXPECT_EQ(scan.records[i].seq, i + 1);
+    DeltaBatch batch;
+    DeltaSummary summary;
+    store::decode_epoch_payload(scan.records[i].payload.data(),
+                                scan.records[i].payload.size(), &batch,
+                                &summary);
+    EXPECT_EQ(encoded(batch), encoded(s.batches[i])) << "epoch " << i + 1;
+    EXPECT_EQ(summary.epoch, i + 1);
+  }
+}
+
+TEST(Wal, MissingFileScansEmpty) {
+  // Moved from the deleted ingest WAL's scan onto a missing epochs.log.
+  const RecordScanResult scan =
+      scan_records(EpochLog::log_path(fresh_dir("wal_missing")));
+  EXPECT_TRUE(scan.records.empty());
+  EXPECT_FALSE(scan.torn_tail);
+}
+
+TEST(Wal, GroupCommitDefersBytesUntilFlush) {
+  // Moved from the deleted ingest WAL's group-commit buffer onto EpochLog.
+  const std::string dir = fresh_dir("wal_group");
+  const EpochStream s = epoch_stream(50, 5);
+  EpochLog log({.dir = dir, .sync_each_append = false});
+  VersionedGraphStore st(s.base);
+  log.attach(st);
+  for (const DeltaBatch& b : s.batches) st.apply(b);
+  EXPECT_EQ(log.stats().appends, 50u);
+  EXPECT_EQ(log.stats().syncs, 0u);  // written, not yet synced
+  log.flush();
+  EXPECT_EQ(log.stats().syncs, 1u);  // one sync covers every append
+  log.flush();
+  EXPECT_EQ(log.stats().syncs, 1u);  // nothing left to sync
+  EXPECT_EQ(scan_records(EpochLog::log_path(dir)).records.size(), 50u);
+}
+
+TEST(Wal, AsyncDrainMatchesSyncByteForByte) {
+  // Moved from the deleted ingest WAL's async-vs-sync drain onto EpochLog.
+  const std::string dir = fresh_dir("wal_async");
+  const EpochStream s = epoch_stream(80, 11);
+  log_epochs(s, {.dir = dir + "/synced"});
+  log_epochs(s, {.dir = dir + "/deferred", .sync_each_append = false});
+  const std::vector<char> synced =
+      read_bytes(EpochLog::log_path(dir + "/synced"));
+  EXPECT_FALSE(synced.empty());
+  EXPECT_EQ(synced, read_bytes(EpochLog::log_path(dir + "/deferred")));
+  const RecordScanResult scan =
+      scan_records(EpochLog::log_path(dir + "/deferred"));
+  EXPECT_FALSE(scan.torn_tail);
+  EXPECT_EQ(scan.records.size(), s.batches.size());
+}
+
+TEST(Wal, TornTailReturnsValidPrefix) {
+  // Moved from the deleted ingest WAL's torn-tail scan onto recover().
+  const std::string dir = fresh_dir("wal_torn");
+  const EpochStream s = epoch_stream(50, 5);
+  const auto digests = log_epochs(s, {.dir = dir});
+  const std::string path = EpochLog::log_path(dir);
+  // Tear off a few bytes: the last frame is incomplete -> torn tail; every
+  // preceding epoch survives untouched.
+  tear_tail(path, 3);
+  const auto rec = store::recover(recovery_opts(dir));
+  EXPECT_TRUE(rec.report.torn_tail);
+  EXPECT_GT(rec.report.torn_bytes, 0u);
+  EXPECT_TRUE(rec.report.status().ok());
+  ASSERT_EQ(rec.report.recovered_epoch, s.batches.size() - 1);
+  EXPECT_EQ(view_digest(rec.store->view()), digests[s.batches.size() - 1]);
+  // recover() cut the torn bytes: the log rescans clean.
+  const RecordScanResult again = scan_records(path);
+  EXPECT_FALSE(again.torn_tail);
+  EXPECT_EQ(again.records.size(), s.batches.size() - 1);
+  EXPECT_EQ(again.bytes_valid, file_size(path));
+}
+
+TEST(Wal, CrcCorruptionStopsOrThrows) {
+  // Moved from the deleted ingest WAL's corruption policies onto recover()'s.
+  const std::string dir = fresh_dir("wal_crc");
+  const EpochStream s = epoch_stream(20, 7);
+  const auto digests = log_epochs(s, {.dir = dir});
+  const std::string path = EpochLog::log_path(dir);
+  corrupt_byte(path, payload_offset(path, 10));  // first byte of record 11
+  EXPECT_THROW(
+      store::recover(recovery_opts(dir, CorruptionPolicy::kThrow)),
+      ga::Error);
+  const auto rec = store::recover(recovery_opts(dir));
+  EXPECT_EQ(rec.report.corrupt_records, 1u);
+  EXPECT_FALSE(rec.report.torn_tail);
+  EXPECT_EQ(rec.report.status().code(), core::StatusCode::kDataLoss);
+  ASSERT_EQ(rec.report.recovered_epoch, 10u);  // clean prefix only
+  EXPECT_EQ(view_digest(rec.store->view()), digests[10]);
+}
+
+// --- record_io: the shared framing under the epoch log ----------------------
 
 std::vector<std::vector<char>> sample_payloads(std::size_t n,
                                                std::uint64_t seed) {
@@ -55,170 +272,47 @@ std::vector<std::vector<char>> sample_payloads(std::size_t n,
   return out;
 }
 
-TEST(Wal, AppendScanRoundTrip) {
-  const std::string dir = fresh_dir("wal_roundtrip");
-  const std::string path = dir + "/wal.log";
-  const auto payloads = sample_payloads(200, 3);
-  {
-    WalWriter w(path, /*truncate=*/true);
-    for (std::size_t i = 0; i < payloads.size(); ++i) {
-      w.append(i + 1, payloads[i].data(), payloads[i].size());
-    }
-    w.flush();
-  }
-  const WalScanResult scan = scan_wal(path);
-  EXPECT_FALSE(scan.torn_tail);
-  EXPECT_EQ(scan.corrupt_records, 0u);
-  EXPECT_EQ(scan.bytes_valid, file_size(path));
-  ASSERT_EQ(scan.records.size(), payloads.size());
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    EXPECT_EQ(scan.records[i].seq, i + 1);
-    EXPECT_EQ(scan.records[i].payload, payloads[i]);
-  }
-}
-
-TEST(Wal, MissingFileScansEmpty) {
-  const WalScanResult scan = scan_wal(fresh_dir("wal_missing") + "/nope.log");
-  EXPECT_TRUE(scan.records.empty());
-  EXPECT_FALSE(scan.torn_tail);
-}
-
-TEST(Wal, GroupCommitDefersBytesUntilFlush) {
-  const std::string path = fresh_dir("wal_group") + "/wal.log";
-  WalWriter w(path, /*truncate=*/true, /*group_commit_bytes=*/1 << 20);
-  const std::vector<char> payload(100, 'x');
-  for (std::uint64_t s = 1; s <= 50; ++s) {
-    w.append(s, payload.data(), payload.size());
-  }
-  EXPECT_EQ(file_size(path), 0u);  // still buffered
-  w.flush();
-  EXPECT_GT(file_size(path), 50u * payload.size());
-  EXPECT_EQ(scan_wal(path).records.size(), 50u);
-}
-
-TEST(Wal, AsyncDrainMatchesSyncByteForByte) {
-  const std::string dir = fresh_dir("wal_async");
-  const std::string sync_path = dir + "/sync.log";
-  const std::string async_path = dir + "/async.log";
-  const auto payloads = sample_payloads(500, 11);
-  // Tiny group-commit threshold so both writers drain many times — the
-  // async writer swaps buffers to its background thread on every drain.
-  for (const bool async_drain : {false, true}) {
-    const std::string& path = async_drain ? async_path : sync_path;
-    WalWriter w(path, /*truncate=*/true, /*group_commit_bytes=*/256,
-                async_drain);
-    for (std::size_t i = 0; i < payloads.size(); ++i) {
-      w.append(i + 1, payloads[i].data(), payloads[i].size());
-    }
-    w.flush();
-    EXPECT_GT(w.stats().flushes, 10u);
-  }
-  std::ifstream a(sync_path, std::ios::binary), b(async_path, std::ios::binary);
-  const std::string bytes_a((std::istreambuf_iterator<char>(a)),
-                            std::istreambuf_iterator<char>());
-  const std::string bytes_b((std::istreambuf_iterator<char>(b)),
-                            std::istreambuf_iterator<char>());
-  EXPECT_EQ(bytes_a, bytes_b);
-  const WalScanResult scan = scan_wal(async_path);
-  EXPECT_FALSE(scan.torn_tail);
-  ASSERT_EQ(scan.records.size(), payloads.size());
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    EXPECT_EQ(scan.records[i].payload, payloads[i]);
-  }
-}
-
-TEST(Wal, TornTailReturnsValidPrefix) {
-  const std::string path = fresh_dir("wal_torn") + "/wal.log";
-  const auto payloads = sample_payloads(50, 5);
-  {
-    WalWriter w(path, /*truncate=*/true);
-    for (std::size_t i = 0; i < payloads.size(); ++i) {
-      w.append(i + 1, payloads[i].data(), payloads[i].size());
-    }
-    w.flush();
-  }
-  // Tear off a few bytes: the last frame is incomplete -> torn tail; every
-  // preceding record survives untouched.
-  tear_tail(path, 3);
-  const WalScanResult scan = scan_wal(path);
-  EXPECT_TRUE(scan.torn_tail);
-  EXPECT_GT(scan.torn_bytes, 0u);
-  ASSERT_EQ(scan.records.size(), payloads.size() - 1);
-  for (std::size_t i = 0; i + 1 < payloads.size(); ++i) {
-    EXPECT_EQ(scan.records[i].payload, payloads[i]);
-  }
-  // Truncating to the clean prefix yields a torn-free log.
-  fs::resize_file(path, scan.bytes_valid);
-  const WalScanResult again = scan_wal(path);
-  EXPECT_FALSE(again.torn_tail);
-  EXPECT_EQ(again.records.size(), payloads.size() - 1);
-}
-
-TEST(Wal, CrcCorruptionStopsOrThrows) {
-  const std::string path = fresh_dir("wal_crc") + "/wal.log";
-  const auto payloads = sample_payloads(20, 7);
-  std::uint64_t frame10_offset = 0;
-  {
-    WalWriter w(path, /*truncate=*/true);
-    for (std::size_t i = 0; i < payloads.size(); ++i) {
-      if (i == 10) {
-        w.flush();
-        frame10_offset = file_size(path);
-      }
-      w.append(i + 1, payloads[i].data(), payloads[i].size());
-    }
-    w.flush();
-  }
-  // Flip the first payload byte of record 10 (frame header is 16 bytes).
-  corrupt_byte(path, frame10_offset + 16);
-  const WalScanResult scan = scan_wal(path, CorruptionPolicy::kStop);
-  EXPECT_EQ(scan.corrupt_records, 1u);
-  EXPECT_EQ(scan.records.size(), 10u);  // clean prefix only
-  EXPECT_FALSE(scan.torn_tail);
-  EXPECT_THROW(scan_wal(path, CorruptionPolicy::kThrow), ga::Error);
-}
-
-// --- record_io: the shared framing under both the WAL and the epoch log ----
-
 TEST(RecordIo, FrameRecordMatchesWalWriterByteForByte) {
+  // Moved from the deleted ingest WAL writer's bytes onto EpochLog's.
   const std::string dir = fresh_dir("recio_frame");
-  const auto payloads = sample_payloads(40, 11);
-  const std::string wal_path = dir + "/wal.log";
-  {
-    WalWriter w(wal_path, /*truncate=*/true);
-    for (std::size_t i = 0; i < payloads.size(); ++i) {
-      w.append(i + 1, payloads[i].data(), payloads[i].size());
-    }
-    w.flush();
+  const EpochStream s = epoch_stream(40, 11);
+  log_epochs(s, {.dir = dir});
+  const std::vector<char> on_disk = read_bytes(EpochLog::log_path(dir));
+  // Frame the same epochs by hand: each batch's codec payload with the
+  // summary an unlogged twin derives when it applies the batch.
+  VersionedGraphStore twin(s.base, manual_compaction());
+  std::size_t at = 0;
+  for (std::size_t i = 0; i < s.batches.size(); ++i) {
+    twin.apply(s.batches[i]);
+    std::vector<char> payload;
+    store::encode_epoch_payload(s.batches[i], *twin.view().delta_summary(),
+                                &payload);
+    std::vector<char> frame(recio::frame_size(payload.size()));
+    recio::frame_record(frame.data(), i + 1, payload.data(), payload.size());
+    ASSERT_LE(at + frame.size(), on_disk.size()) << "record " << i + 1;
+    EXPECT_TRUE(std::equal(frame.begin(), frame.end(), on_disk.begin() + at))
+        << "record " << i + 1;
+    at += frame.size();
   }
-  // Frame the same records by hand through the extracted helper.
-  std::vector<char> framed;
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    const std::size_t at = framed.size();
-    framed.resize(at + recio::frame_size(payloads[i].size()));
-    recio::frame_record(framed.data() + at, i + 1, payloads[i].data(),
-                        payloads[i].size());
-  }
-  std::ifstream is(wal_path, std::ios::binary);
-  const std::vector<char> wal_bytes((std::istreambuf_iterator<char>(is)),
-                                    std::istreambuf_iterator<char>());
-  EXPECT_EQ(wal_bytes, framed);
+  EXPECT_EQ(at, on_disk.size());
 }
 
 TEST(RecordIo, ScanFromOffsetResumesAtAFrameBoundary) {
+  // Moved from a file the deleted ingest WAL wrote onto frame_record's.
   const std::string path = fresh_dir("recio_offset") + "/log";
   const auto payloads = sample_payloads(30, 13);
   std::uint64_t offset_20 = 0;
   {
-    WalWriter w(path, /*truncate=*/true);
+    std::vector<char> bytes;
     for (std::size_t i = 0; i < payloads.size(); ++i) {
-      if (i == 20) {
-        w.flush();
-        offset_20 = file_size(path);
-      }
-      w.append(i + 1, payloads[i].data(), payloads[i].size());
+      if (i == 20) offset_20 = bytes.size();
+      const std::size_t at = bytes.size();
+      bytes.resize(at + recio::frame_size(payloads[i].size()));
+      recio::frame_record(bytes.data() + at, i + 1, payloads[i].data(),
+                          payloads[i].size());
     }
-    w.flush();
+    std::ofstream(path, std::ios::binary)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
   // A tailer resumes mid-file: only records 21.. come back, and
   // bytes_valid is ABSOLUTE so it feeds straight into the next scan.
@@ -251,47 +345,93 @@ TEST(RecordIo, FsyncHelpersAcceptRealPathsAndRejectMissingOnes) {
   EXPECT_THROW(fsync_file(dir + "/nope"), ga::Error);
 }
 
-// --- StoreOp codec ----------------------------------------------------------
+// --- epoch-record codec ------------------------------------------------------
+
+struct SealedEpoch {
+  DeltaBatch batch;
+  DeltaSummary summary;
+};
+
+/// One epoch with every op kind the codec carries, applied to a path graph
+/// so that every field of its summary is set.
+SealedEpoch every_kind_epoch() {
+  std::vector<graph::Edge> path;
+  for (vid_t v = 0; v + 1 < 8; ++v) path.push_back({v, v + 1});
+  VersionedGraphStore st(graph::build_undirected(std::move(path), 8),
+                         manual_compaction());
+  DeltaBatch b(/*directed=*/false);
+  b.add_vertices(2);                // vertex growth: ids 8 and 9
+  b.insert_edge(0, 9, 2.5f);        // a new arc
+  b.insert_edge(2, 3, 4.0f);        // weight upsert of an existing arc
+  b.delete_edge(4, 5);              // a present arc removed
+  b.set_vertex_property(6, 0.75f);  // property patch
+  st.apply(b);
+  return {b, *st.view().delta_summary()};
+}
 
 TEST(StoreOp, EncodeDecodeRoundTrip) {
-  pipeline::Entity e;
-  e.entity_id = 42;
-  e.first_name = "Ada";
-  e.last_name = "Lovelace";
-  e.ssn = "123456789";
-  e.birth_year = 1815;
-  e.credit_score = 740.5;
-  e.addresses = {3, 9, 17};
-  e.record_ids = {100, 200};
-  e.true_person = 41;
-  for (const StoreOp& op :
-       {StoreOp::add_person(e, 77), StoreOp::add_residency(5, 9, 78),
-        StoreOp::set_double(6, "risk_score", 0.25)}) {
-    const auto bytes = encode_op(op);
-    const StoreOp back = decode_op(bytes.data(), bytes.size());
-    EXPECT_EQ(back.kind, op.kind);
-    EXPECT_EQ(back.person, op.person);
-    EXPECT_EQ(back.address_id, op.address_id);
-    EXPECT_EQ(back.ts, op.ts);
-    EXPECT_EQ(back.column, op.column);
-    EXPECT_DOUBLE_EQ(back.value, op.value);
-    EXPECT_EQ(back.entity.first_name, op.entity.first_name);
-    EXPECT_EQ(back.entity.addresses, op.entity.addresses);
-  }
+  // Moved from the deleted StoreOp codec onto the epoch-record codec.
+  const SealedEpoch e = every_kind_epoch();
+  const DeltaSummary& want = e.summary;
+  ASSERT_FALSE(want.changed_vertices.empty());
+  ASSERT_FALSE(want.inserted_arcs.empty());
+  ASSERT_FALSE(want.deleted_arcs.empty());
+  ASSERT_GT(want.weight_updates, 0u);
+  ASSERT_FALSE(want.property_vertices.empty());
+  ASSERT_EQ(want.vertex_growth, 2u);
+  std::vector<char> bytes;
+  store::encode_epoch_payload(e.batch, want, &bytes);
+  DeltaBatch batch;
+  DeltaSummary got;
+  store::decode_epoch_payload(bytes.data(), bytes.size(), &batch, &got);
+  EXPECT_EQ(encoded(batch), encoded(e.batch));
+  EXPECT_EQ(batch.num_ops(), e.batch.num_ops());
+  EXPECT_EQ(batch.vertex_growth(), 2u);
+  EXPECT_EQ(got.epoch, want.epoch);
+  EXPECT_EQ(got.changed_vertices, want.changed_vertices);
+  EXPECT_EQ(got.inserted_arcs, want.inserted_arcs);
+  EXPECT_EQ(got.deleted_arcs, want.deleted_arcs);
+  EXPECT_EQ(got.weight_updates, want.weight_updates);
+  EXPECT_EQ(got.property_vertices, want.property_vertices);
+  EXPECT_EQ(got.vertex_growth, want.vertex_growth);
 }
 
 TEST(StoreOp, DecodeRejectsMalformedPayloads) {
-  const auto bytes = encode_op(StoreOp::add_residency(1, 2, 3));
-  // Truncations at every length fail; trailing garbage fails.
-  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    EXPECT_THROW(decode_op(bytes.data(), cut), ga::Error) << cut;
-  }
-  auto padded = bytes;
-  padded.push_back('\0');
-  EXPECT_THROW(decode_op(padded.data(), padded.size()), ga::Error);
+  // Moved from the deleted StoreOp decoder onto decode_epoch_payload.
+  const SealedEpoch full = every_kind_epoch();
+  DeltaSummary heartbeat;
+  heartbeat.epoch = 2;
+  const auto check = [](const DeltaBatch& batch, const DeltaSummary& summary) {
+    std::vector<char> bytes;
+    store::encode_epoch_payload(batch, summary, &bytes);
+    DeltaBatch b;
+    DeltaSummary s;
+    EXPECT_NO_THROW(
+        store::decode_epoch_payload(bytes.data(), bytes.size(), &b, &s));
+    // Truncations at every length fail; a trailing byte fails.
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+      EXPECT_THROW(store::decode_epoch_payload(bytes.data(), cut, &b, &s),
+                   ga::Error)
+          << cut;
+    }
+    bytes.push_back('\0');
+    EXPECT_THROW(
+        store::decode_epoch_payload(bytes.data(), bytes.size(), &b, &s),
+        ga::Error);
+  };
+  check(full.batch, full.summary);
+  // A heartbeat epoch: every vector of its summary is empty.
+  check(DeltaBatch(/*directed=*/false), heartbeat);
 }
 
-// --- DurableGraphStore recovery ---------------------------------------------
+// --- the pipeline store on the epoch log -------------------------------------
+// The DurableStore.* bodies ran on a WAL-backed durable pipeline store (a
+// GraphStore plus a log of store ops) until it was deleted together with the
+// ingest WAL under it. They now make the pipeline's GraphStore durable the
+// way every served store is: set_epoch_log() attaches an EpochLog, every
+// view() publishes one epoch, and store::recover() rebuilds the published
+// view. The log holds adjacency and weights, not residency timestamps or the
+// property table, so states compare by view_digest().
 
 constexpr std::uint32_t kBasePeople = 200;
 constexpr std::uint32_t kAddresses = 400;
@@ -307,234 +447,254 @@ pipeline::GraphStore base_store() {
     std::set<std::uint32_t> addrs{i % kAddresses, (i * 7 + 3) % kAddresses};
     ents[i].addresses.assign(addrs.begin(), addrs.end());
   }
-  return pipeline::GraphStore(ents, kAddresses);
+  pipeline::GraphStore store(ents, kAddresses);
+  store.properties().add_double_column("risk_score");
+  return store;
 }
 
-/// Deterministic op stream referencing valid person vertex ids (streamed
-/// people land after the address range, mirroring GraphStore::add_person).
-std::vector<StoreOp> make_op_stream(std::size_t n, std::uint64_t seed) {
-  core::Xoshiro256 rng(seed);
-  std::vector<StoreOp> ops;
-  ops.reserve(n);
-  std::vector<vid_t> person_vids;
-  person_vids.reserve(kBasePeople + n / 16);
-  for (vid_t v = 0; v < kBasePeople; ++v) person_vids.push_back(v);
-  vid_t next_vertex = kBasePeople + kAddresses;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto roll = rng.next_below(100);
-    const auto ts = static_cast<std::int64_t>(i);
-    if (roll < 5) {
-      pipeline::Entity e;
-      e.entity_id = person_vids.size();
-      e.first_name = "s" + std::to_string(i);
-      e.last_name = "stream";
-      e.birth_year = 1980;
-      e.credit_score = 500.0 + static_cast<double>(roll);
-      ops.push_back(StoreOp::add_person(e, ts));
-      person_vids.push_back(next_vertex++);
-    } else if (roll < 95) {
-      ops.push_back(StoreOp::add_residency(
-          person_vids[rng.next_below(person_vids.size())],
-          static_cast<std::uint32_t>(rng.next_below(kAddresses)), ts));
-    } else {
-      ops.push_back(StoreOp::set_double(
-          person_vids[rng.next_below(person_vids.size())], "risk_score",
-          rng.next_double()));
-    }
+/// Deterministic Fig. 2 op stream over valid person vertices: 5% new
+/// people, 90% residency sightings, 5% property writes.
+class OpStream {
+ public:
+  explicit OpStream(std::uint64_t seed) : rng_(seed) {
+    for (vid_t v = 0; v < kBasePeople; ++v) people_.push_back(v);
   }
-  return ops;
+
+  /// Applies the next `count` ops to `g`, then publishes them as one epoch.
+  GraphView publish(pipeline::GraphStore& g, std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i, ++applied_) {
+      const auto roll = rng_.next_below(100);
+      const auto ts = static_cast<std::int64_t>(applied_);
+      if (roll < 5) {
+        pipeline::Entity e;
+        e.entity_id = people_.size();
+        e.first_name = "s" + std::to_string(applied_);
+        e.last_name = "stream";
+        e.birth_year = 1980;
+        e.credit_score = 500.0 + static_cast<double>(roll);
+        people_.push_back(g.add_person(e, ts));
+      } else if (roll < 95) {
+        g.add_residency(people_[rng_.next_below(people_.size())],
+                        static_cast<std::uint32_t>(rng_.next_below(kAddresses)),
+                        ts);
+      } else {
+        g.properties().doubles("risk_score")[people_[rng_.next_below(
+            people_.size())]] = rng_.next_double();
+      }
+    }
+    return g.view();
+  }
+
+ private:
+  core::Xoshiro256 rng_;
+  std::vector<vid_t> people_;
+  std::uint64_t applied_ = 0;
+};
+
+/// A base_store() with `log` attached (null: no log) and its base
+/// published, so the next view() is epoch 1.
+pipeline::GraphStore seeded_store(EpochLog* log) {
+  pipeline::GraphStore g = base_store();
+  g.set_epoch_log(log);
+  g.view();
+  return g;
+}
+
+/// Publishes `epochs` epochs of `ops_per_epoch` ops from OpStream(seed)
+/// through a seeded store, then drops the store. Returns the view digest at
+/// every publish: digests[0] is the base, digests[k] epoch k.
+std::vector<std::uint64_t> publish_epochs(EpochLog* log, std::uint64_t seed,
+                                          std::size_t epochs,
+                                          std::size_t ops_per_epoch) {
+  pipeline::GraphStore g = seeded_store(log);
+  std::vector<std::uint64_t> digests{view_digest(g.view())};
+  OpStream ops(seed);
+  for (std::size_t k = 1; k <= epochs; ++k) {
+    const GraphView v = ops.publish(g, ops_per_epoch);
+    EXPECT_EQ(v.epoch(), k);
+    digests.push_back(view_digest(v));
+  }
+  return digests;
 }
 
 TEST(DurableStore, FreshStoreRecoversIdentically) {
+  // Moved from the deleted WAL-backed store onto GraphStore::set_epoch_log.
   const std::string dir = fresh_dir("fresh");
-  DurabilityOptions opts;
-  opts.dir = dir;
-  const std::uint64_t digest = base_store().content_digest();
-  { DurableGraphStore d(base_store(), opts); }
-  RecoverReport rep;
-  const auto rec = DurableGraphStore::recover(opts, &rep);
-  EXPECT_EQ(rec.content_digest(), digest);
-  EXPECT_EQ(rep.replayed, 0u);
+  std::uint64_t digest = 0;
+  {
+    EpochLog log({.dir = dir});
+    digest = view_digest(seeded_store(&log).view());
+  }
+  const auto rec = store::recover(recovery_opts(dir));
+  EXPECT_EQ(view_digest(rec.store->view()), digest);
+  EXPECT_EQ(rec.report.replayed, 0u);
+  EXPECT_EQ(rec.report.recovered_epoch, 0u);
 }
 
-// The acceptance-criterion sweep: a 100k-op stream killed at every
-// checkpoint boundary and 17 seeded random offsets. For every crash point
-// k, recovery must reproduce the uninterrupted prefix digest exactly, and
-// continuing the remaining ops must land on the uninterrupted final digest.
+// The acceptance sweep: a 100k-op stream published every 500 ops and
+// crashed (log and store dropped) right after the publish at every
+// checkpoint boundary and at 17 seeded publish points. Recovery must land
+// at exactly that epoch with the uncrashed twin's view digest there.
 TEST(DurableStore, CrashRecoverySweep) {
-  constexpr std::size_t kOps = 100000;
-  constexpr std::uint64_t kCheckpointEvery = 10000;
-  const auto ops = make_op_stream(kOps, 11);
+  // Moved from the deleted WAL-backed store's 100k-op crash sweep.
+  constexpr std::size_t kEpochs = 200;
+  constexpr std::size_t kOpsPerEpoch = 500;
+  constexpr std::uint64_t kCheckpointEvery = 20;
+  constexpr std::uint64_t kSeed = 11;
 
   std::set<std::size_t> points;
-  for (std::size_t k = kCheckpointEvery; k <= kOps; k += kCheckpointEvery) {
+  for (std::size_t k = kCheckpointEvery; k <= kEpochs; k += kCheckpointEvery) {
     points.insert(k);
   }
   core::Xoshiro256 rng(1234);
-  while (points.size() < kOps / kCheckpointEvery + 17) {
-    points.insert(1 + rng.next_below(kOps));
+  while (points.size() < kEpochs / kCheckpointEvery + 17) {
+    points.insert(1 + rng.next_below(kEpochs));
   }
 
-  // Uninterrupted reference digests at every crash point, in one pass.
-  std::vector<std::uint64_t> ref_digest;
-  std::uint64_t final_digest = 0;
+  // The uncrashed twin's digest at every crash point, in one pass.
+  std::vector<std::uint64_t> twin(kEpochs + 1);
   {
-    pipeline::GraphStore ref = base_store();
-    std::size_t applied = 0;
-    for (const StoreOp& op : ops) {
-      apply_op(ref, op);
-      if (points.count(++applied) > 0) {
-        ref_digest.push_back(ref.content_digest());
-      }
+    pipeline::GraphStore g = seeded_store(nullptr);
+    OpStream ops(kSeed);
+    for (std::size_t k = 1; k <= kEpochs; ++k) {
+      const GraphView v = ops.publish(g, kOpsPerEpoch);
+      ASSERT_EQ(v.epoch(), k);
+      if (points.count(k) > 0) twin[k] = view_digest(v);
     }
-    final_digest = ref.content_digest();
   }
 
-  std::size_t pi = 0;
   for (const std::size_t k : points) {
     const std::string dir = fresh_dir("sweep");
-    DurabilityOptions opts;
-    opts.dir = dir;
-    opts.checkpoint_every = kCheckpointEvery;
     {
-      DurableGraphStore d(base_store(), opts);
-      for (std::size_t i = 0; i < k; ++i) d.apply(ops[i]);
-      d.flush();
-      // Crash: the handle is dropped with no checkpoint.
+      EpochLog log({.dir = dir,
+                    .checkpoint_every = kCheckpointEvery,
+                    .sync_each_append = false});
+      pipeline::GraphStore g = seeded_store(&log);
+      OpStream ops(kSeed);
+      for (std::size_t e = 1; e <= k; ++e) ops.publish(g, kOpsPerEpoch);
+      // Crash: the store and its log are dropped right after publish k.
     }
-    RecoverReport rep;
-    auto rec = DurableGraphStore::recover(opts, &rep);
-    EXPECT_EQ(rec.content_digest(), ref_digest[pi])
-        << "prefix digest mismatch at crash point " << k;
-    EXPECT_EQ(rep.snapshot_seq + rep.replayed, k) << "lost ops at " << k;
-    for (std::size_t i = k; i < kOps; ++i) rec.apply(ops[i]);
-    EXPECT_EQ(rec.content_digest(), final_digest)
-        << "final digest mismatch after crash point " << k;
+    const auto rec = store::recover(recovery_opts(dir));
+    EXPECT_TRUE(rec.report.status().ok()) << k;
+    EXPECT_EQ(rec.report.recovered_epoch, k) << "lost epochs at " << k;
+    EXPECT_EQ(rec.report.checkpoint_epoch,
+              k / kCheckpointEvery * kCheckpointEvery)
+        << k;
+    EXPECT_EQ(rec.report.checkpoint_epoch + rec.report.replayed, k) << k;
+    EXPECT_EQ(view_digest(rec.store->view()), twin[k])
+        << "view digest mismatch at crash point " << k;
     fs::remove_all(dir);
-    ++pi;
   }
 }
 
-// Crash inside the checkpoint window: the snapshot has been renamed into
-// place but the WAL was not yet truncated. Replay must skip every record
-// the snapshot already contains (never double-apply).
+// Crash inside the checkpoint window: the checkpoint has been renamed into
+// place but the log was not yet truncated. Replay must skip every record
+// the checkpoint already contains (never double-apply).
 TEST(DurableStore, CheckpointCrashWindowIsIdempotent) {
+  // Moved from the deleted WAL-backed store's snapshot-vs-WAL crash window.
+  constexpr std::size_t kEpochs = 25;
   const std::string dir = fresh_dir("ckpt_window");
-  DurabilityOptions opts;
-  opts.dir = dir;
-  const auto ops = make_op_stream(500, 21);
+  const std::string path = EpochLog::log_path(dir);
   std::uint64_t digest = 0;
   {
-    DurableGraphStore d(base_store(), opts);
-    for (const StoreOp& op : ops) d.apply(op);
-    d.flush();
-    // Save the full pre-checkpoint WAL, checkpoint, then put the stale WAL
-    // back: exactly the on-disk state of a crash between snapshot rename
-    // and WAL truncation.
-    const std::string wal = DurableGraphStore::wal_path(dir);
-    fs::copy_file(wal, wal + ".stale");
-    d.checkpoint();
-    digest = d.content_digest();
-    fs::remove(wal);
-    fs::rename(wal + ".stale", wal);
+    EpochLog log({.dir = dir, .sync_each_append = false});
+    pipeline::GraphStore g = seeded_store(&log);
+    OpStream ops(21);
+    for (std::size_t k = 1; k <= kEpochs; ++k) ops.publish(g, 20);
+    // Save the full pre-checkpoint log, then checkpoint (which truncates
+    // it): restoring the saved copy below is exactly the on-disk state of
+    // a crash between checkpoint rename and log truncation.
+    fs::copy_file(path, path + ".stale");
+    log.checkpoint(g.view());
+    digest = view_digest(g.view());
   }
-  RecoverReport rep;
-  const auto rec = DurableGraphStore::recover(opts, &rep);
-  EXPECT_EQ(rec.content_digest(), digest);
-  EXPECT_EQ(rep.replayed, 0u);
-  EXPECT_EQ(rep.skipped_pre_snapshot, ops.size());
+  EXPECT_TRUE(scan_records(path).records.empty());
+  fs::remove(path);
+  fs::rename(path + ".stale", path);
+  const auto rec = store::recover(recovery_opts(dir));
+  EXPECT_EQ(view_digest(rec.store->view()), digest);
+  EXPECT_EQ(rec.report.checkpoint_epoch, kEpochs);
+  EXPECT_EQ(rec.report.replayed, 0u);
+  EXPECT_EQ(rec.report.skipped, kEpochs);
 }
 
 TEST(DurableStore, TornWalTailTruncatesToCleanPrefix) {
+  // Moved from the deleted WAL-backed store's torn-WAL recovery.
+  constexpr std::size_t kEpochs = 30;
   const std::string dir = fresh_dir("torn");
-  DurabilityOptions opts;
-  opts.dir = dir;
-  const auto ops = make_op_stream(300, 31);
-  std::vector<std::uint64_t> digests;  // digest after every op
+  const std::string path = EpochLog::log_path(dir);
+  std::vector<std::uint64_t> digests;
   {
-    pipeline::GraphStore ref = base_store();
-    for (const StoreOp& op : ops) {
-      apply_op(ref, op);
-      digests.push_back(ref.content_digest());
-    }
+    EpochLog log({.dir = dir, .sync_each_append = false});
+    digests = publish_epochs(&log, 31, kEpochs, 10);
   }
+  const RecordScanResult logged = scan_records(path);
+  ASSERT_EQ(logged.records.size(), kEpochs);
+  tear_tail(path, 5);
+  auto rec = store::recover(recovery_opts(dir));
+  EXPECT_TRUE(rec.report.torn_tail);
+  ASSERT_EQ(rec.report.replayed, kEpochs - 1);
+  EXPECT_EQ(view_digest(rec.store->view()), digests[kEpochs - 1]);
+  // The torn bytes are gone: reopen the log on the recovered store and
+  // publish the lost epoch again from its logged batch.
   {
-    DurableGraphStore d(base_store(), opts);
-    for (const StoreOp& op : ops) d.apply(op);
-    d.flush();
+    EpochLog log({.dir = dir});
+    const auto st = std::move(rec.store);
+    log.attach(*st);
+    DeltaBatch last;
+    DeltaSummary summary;
+    store::decode_epoch_payload(logged.records.back().payload.data(),
+                                logged.records.back().payload.size(), &last,
+                                &summary);
+    EXPECT_EQ(st->apply(last), kEpochs);
   }
-  tear_tail(DurableGraphStore::wal_path(dir), 5);
-  RecoverReport rep;
-  auto rec = DurableGraphStore::recover(opts, &rep);
-  EXPECT_TRUE(rep.torn_tail);
-  ASSERT_EQ(rep.replayed, ops.size() - 1);
-  EXPECT_EQ(rec.content_digest(), digests[ops.size() - 2]);
-  // The torn bytes are gone: appending and recovering again is clean.
-  rec.apply(ops.back());
-  rec.flush();
-  RecoverReport rep2;
-  const auto rec2 = DurableGraphStore::recover(opts, &rep2);
-  EXPECT_FALSE(rep2.torn_tail);
-  EXPECT_EQ(rec2.content_digest(), digests.back());
+  const auto rec2 = store::recover(recovery_opts(dir));
+  EXPECT_FALSE(rec2.report.torn_tail);
+  EXPECT_EQ(rec2.report.recovered_epoch, kEpochs);
+  EXPECT_EQ(view_digest(rec2.store->view()), digests.back());
 }
 
 TEST(DurableStore, CorruptWalRecordStopsReplay) {
+  // Moved from the deleted WAL-backed store's corrupt-record recovery.
+  constexpr std::size_t kEpochs = 100;
   const std::string dir = fresh_dir("corrupt");
-  DurabilityOptions opts;
-  opts.dir = dir;
-  const auto ops = make_op_stream(100, 41);
+  const std::string path = EpochLog::log_path(dir);
   std::vector<std::uint64_t> digests;
   {
-    pipeline::GraphStore ref = base_store();
-    for (const StoreOp& op : ops) {
-      apply_op(ref, op);
-      digests.push_back(ref.content_digest());
-    }
-  }
-  std::uint64_t offset_50 = 0;
-  {
-    DurableGraphStore d(base_store(), opts);
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      if (i == 50) {
-        d.flush();
-        offset_50 = file_size(DurableGraphStore::wal_path(dir));
-      }
-      d.apply(ops[i]);
-    }
-    d.flush();
+    EpochLog log({.dir = dir, .sync_each_append = false});
+    digests = publish_epochs(&log, 41, kEpochs, 4);
   }
   // Bit rot inside record 51's payload: CRC catches it, replay raises
-  // (kThrow) or stops at the clean prefix (kStop). kThrow first — kStop
-  // recovery truncates the untrusted suffix off the log.
-  corrupt_byte(DurableGraphStore::wal_path(dir), offset_50 + 16);
+  // (kThrow) or stops at the clean prefix (kStop).
+  corrupt_byte(path, payload_offset(path, 50));
+  const std::uint64_t bytes = file_size(path);
   EXPECT_THROW(
-      DurableGraphStore::recover(opts, nullptr, CorruptionPolicy::kThrow),
+      store::recover(recovery_opts(dir, CorruptionPolicy::kThrow)),
       ga::Error);
-  RecoverReport rep;
-  const auto rec =
-      DurableGraphStore::recover(opts, &rep, CorruptionPolicy::kStop);
-  EXPECT_EQ(rep.corrupt_records, 1u);
-  EXPECT_EQ(rep.replayed, 50u);
-  EXPECT_EQ(rec.content_digest(), digests[49]);
-  // The untrusted suffix is gone: a rescan of the log is clean.
-  const WalScanResult rescan = scan_wal(DurableGraphStore::wal_path(dir));
-  EXPECT_EQ(rescan.corrupt_records, 0u);
+  const auto rec = store::recover(recovery_opts(dir));
+  EXPECT_EQ(rec.report.corrupt_records, 1u);
+  EXPECT_EQ(rec.report.status().code(), core::StatusCode::kDataLoss);
+  EXPECT_EQ(rec.report.replayed, 50u);
+  EXPECT_EQ(view_digest(rec.store->view()), digests[50]);
+  // Unlike the deleted store, which cut the untrusted suffix, recover()
+  // keeps it: data loss is reported, never silently discarded. The log is
+  // byte-for-byte as it was, and a rescan still stops at record 51.
+  EXPECT_EQ(file_size(path), bytes);
+  const RecordScanResult rescan = scan_records(path);
+  EXPECT_EQ(rescan.corrupt_records, 1u);
   EXPECT_EQ(rescan.records.size(), 50u);
 }
 
 TEST(DurableStore, AutoCheckpointCompactsWal) {
+  // Moved from the deleted WAL-backed store's checkpoint cadence.
   const std::string dir = fresh_dir("compact");
-  DurabilityOptions opts;
-  opts.dir = dir;
-  opts.checkpoint_every = 64;
-  DurableGraphStore d(base_store(), opts);
-  const auto ops = make_op_stream(200, 51);
-  for (const StoreOp& op : ops) d.apply(op);
-  EXPECT_EQ(d.stats().checkpoints, 3u);
-  d.flush();
-  // Only the 200 % 64 ops after the last checkpoint remain in the log.
-  EXPECT_EQ(scan_wal(DurableGraphStore::wal_path(dir)).records.size(),
-            200u % 64u);
+  EpochLog log({.dir = dir, .checkpoint_every = 64, .sync_each_append = false});
+  publish_epochs(&log, 51, 200, 4);
+  // The seed checkpoint of the base, then one per 64 epochs: 64, 128, 192.
+  EXPECT_EQ(log.stats().checkpoints, 1u + 3u);
+  EXPECT_EQ(log.stats().checkpoint_epoch, 192u);
+  // Only the 200 % 64 epochs after the last checkpoint remain in the log.
+  EXPECT_EQ(scan_records(EpochLog::log_path(dir)).records.size(), 200u % 64u);
 }
 
 // --- IngestQueue backpressure -----------------------------------------------
@@ -882,6 +1042,37 @@ TEST(Backpressure, RunWithBackpressureMatchesApplyAll) {
   EXPECT_EQ(g1.num_edges(), g2.num_edges());
 }
 
+// StreamProcessor::set_epoch_log is the streaming layer's durability hook:
+// every epoch the processor publishes is logged before the publisher sees
+// it, so recovery after the processor is gone rebuilds the last view.
+TEST(StreamDurability, EpochLogHookRecoversLastPublishedView) {
+  const std::string dir = resilience::fresh_dir("stream_log");
+  const auto stream = generate_stream(
+      64, {.count = 600, .delete_fraction = 0.2, .seed = 8});
+  std::vector<store::GraphView> views;
+  {
+    store::EpochLog log({.dir = dir, .checkpoint_every = 4});
+    graph::DynamicGraph g(64);
+    TriggerPolicy policy;
+    policy.triangle_delta_threshold = 0;  // publication only via cadence
+    StreamProcessor proc(g, policy);
+    proc.set_epoch_log(&log);
+    proc.set_epoch_publisher(
+        [&](store::GraphView v) { views.push_back(std::move(v)); },
+        /*every_n_updates=*/32);
+    proc.apply_all(stream);
+    proc.publish_epoch();
+  }  // the processor and its log are dropped
+  ASSERT_GE(views.size(), 10u);
+  const auto rec = store::recover(resilience::recovery_opts(dir));
+  EXPECT_TRUE(rec.report.status().ok());
+  EXPECT_EQ(rec.report.recovered_epoch, views.back().epoch());
+  EXPECT_GT(rec.report.checkpoint_epoch, 0u);
+  EXPECT_GT(rec.report.replayed, 0u);
+  EXPECT_EQ(store::view_digest(rec.store->view()),
+            store::view_digest(views.back()));
+}
+
 }  // namespace
 }  // namespace ga::streaming
 
@@ -997,6 +1188,50 @@ TEST(RunStream, InjectedIngestFaultsRetryAndExhaustDeterministically) {
   // Degraded mode never writes columns, so the two fault plans end with
   // stores that differ only in the NORA write-backs, not in people/edges.
   EXPECT_EQ(std::get<2>(c), 0u);
+}
+
+// CanonicalFlow::set_epoch_log is the flow's durability hook: every epoch
+// the flow publishes (here: each streaming NORA trigger) is logged, so
+// recovery after the flow is gone rebuilds the last published view.
+TEST(FlowDurability, EpochLogHookRecoversLastPublishedView) {
+  const std::string dir = resilience::fresh_dir("flow_log");
+  const auto corpus = generate_corpus(small_corpus_opts());
+  std::vector<store::GraphView> views;
+  {
+    store::EpochLog log({.dir = dir});
+    CanonicalFlow flow;
+    flow.run_batch(corpus);
+    flow.set_epoch_log(&log);
+    flow.set_snapshot_publisher(
+        [&](store::GraphView v) { views.push_back(std::move(v)); });
+    // A newcomer seen at two addresses of an existing person shares both
+    // with them, which is a NORA relationship: the second sighting fires.
+    const vid_t people = flow.store().num_people();
+    for (vid_t person = 0; person < people && views.size() < 4; ++person) {
+      const auto addrs = flow.store().addresses_of(person);
+      if (addrs.size() < 2) continue;
+      RawRecord rec;
+      rec.record_id = 5000000 + 2 * person;
+      rec.first_name = "Durable";
+      rec.last_name = "Newcomer" + std::to_string(person);
+      rec.ssn = std::to_string(900000000 + person);
+      rec.birth_year = 1990;
+      rec.credit_score = 600.0;
+      rec.ts = 3000000 + person;
+      rec.address_id = static_cast<std::uint32_t>(addrs[0] - people);
+      flow.ingest_streaming(rec);
+      ++rec.record_id;
+      rec.address_id = static_cast<std::uint32_t>(addrs[1] - people);
+      flow.ingest_streaming(rec);
+    }
+  }  // the flow and its log are dropped
+  ASSERT_GE(views.size(), 3u);
+  const auto rec = store::recover(resilience::recovery_opts(dir));
+  EXPECT_TRUE(rec.report.status().ok());
+  EXPECT_EQ(rec.report.recovered_epoch, views.back().epoch());
+  EXPECT_GT(rec.report.replayed, 0u);
+  EXPECT_EQ(store::view_digest(rec.store->view()),
+            store::view_digest(views.back()));
 }
 
 }  // namespace

@@ -192,19 +192,16 @@ EOF
 
 echo "=== [ci] bench artifacts (repo root) ==="
 # Machine-readable artifacts for sweep diffing at stable repo-root names:
-# the gated incremental serving numbers plus the scale-20 graph500 and
-# kernel-suite runs the perf gate just produced. Committing refreshed
-# BENCH_graph500.json / BENCH_kernels.json is how the perf baseline
-# ratchets forward -- deliberately manual, and new baselines should be
-# envelopes over several runs (bench_compare --envelope), not single
-# runs; see DESIGN.md section 15.
+# the gated incremental serving, recovery and dist numbers. The perf-gate
+# baselines (BENCH_graph500.json, BENCH_kernels.json, BENCH_tiered.json)
+# are NOT overwritten: their fresh runs stay in $BUILD_DIR, so a second
+# ci.sh run still gates against the committed worst-of-K envelope.
+# Refreshing a baseline is the explicit `bench_compare --envelope` step in
+# DESIGN.md section 15.
 cp "$BUILD_DIR/BENCH_serving_load.json" "$ROOT/BENCH_serving.json"
-cp "$BUILD_DIR/BENCH_graph500_bfs.json" "$ROOT/BENCH_graph500.json"
-cp "$BUILD_DIR/BENCH_micro_kernels.json" "$ROOT/BENCH_kernels.json"
 cp "$BUILD_DIR/BENCH_recovery.json" "$ROOT/BENCH_recovery.json"
 cp "$BUILD_DIR/BENCH_dist.json" "$ROOT/BENCH_dist.json"
-cp "$BUILD_DIR/BENCH_tiered_bench.json" "$ROOT/BENCH_tiered.json"
-echo "[ci] wrote $ROOT/BENCH_serving.json, $ROOT/BENCH_graph500.json, $ROOT/BENCH_kernels.json, $ROOT/BENCH_recovery.json, $ROOT/BENCH_dist.json, and $ROOT/BENCH_tiered.json"
+echo "[ci] wrote $ROOT/BENCH_serving.json, $ROOT/BENCH_recovery.json, and $ROOT/BENCH_dist.json; fresh perf-gate runs are in $BUILD_DIR"
 
 if [[ "$MODE" == "fast" ]]; then
   echo "=== [ci] fast mode: skipping sanitizer sweeps ==="

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Sanitizer sweep for the traversal engine and tier-1 tests:
-#   1. ASan+UBSan build running the full ctest suite.
+#   1. ASan+UBSan build running the full ctest suite. UBSan is built with
+#      -fno-sanitize-recover=undefined (CMakeLists.txt, GA_SANITIZE), so a
+#      report aborts the test that hit it instead of passing unseen.
 #   2. TSan build running the BFS / connected-components / PageRank /
 #      engine / thread-pool tests (the code with parallel kernel paths,
 #      parameterized suites included), plus the GAP verifiers on Kron and
@@ -17,9 +19,10 @@
 # build/ directory is never polluted. Exits nonzero on the first failure.
 #
 # chaos mode (`run_sanitizers.sh chaos`): the fault-tolerance suite only —
-# WAL recovery sweeps + fault injection under ASan+UBSan (use-after-free /
-# OOB on the torn-tail and corruption paths), and the backpressure queue +
-# producer/consumer tests under TSan (the cross-thread boundary).
+# epoch-log recovery sweeps + fault injection under ASan+UBSan
+# (use-after-free / OOB on the torn-tail and corruption paths), and the
+# backpressure queue + producer/consumer tests under TSan (the cross-thread
+# boundary).
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
