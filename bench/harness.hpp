@@ -101,7 +101,8 @@ struct GraphSpec {
   }
 
   /// The input's edge list and vertex count (0 = one past the largest
-  /// id); the graph is build_undirected over exactly these. Generated
+  /// id); the graph is build_undirected over exactly these (for `kronN`,
+  /// the same bytes as try_build()'s make_rmat). Generated
   /// inputs (kron/urand) cannot fail; `file:PATH` reports exactly what
   /// went wrong — the path echoed back plus the OS errno text for an
   /// unopenable file, or the loader's parse diagnostic — instead of
@@ -144,8 +145,14 @@ struct GraphSpec {
     return EdgeList{};
   }
 
-  /// Build with try_edges()' diagnosable failure path.
+  /// Build with try_edges()' diagnosable failure path. `kronN` goes
+  /// through graph::make_rmat instead: the same bytes, drawn as 8-byte
+  /// (u, v) arcs rather than 24-byte edges, so the build peaks lower.
   core::StatusOr<graph::CSRGraph> try_build() const {
+    if (kind == Kind::kKron) {
+      return graph::make_rmat(
+          {.scale = scale, .edge_factor = edge_factor, .seed = seed});
+    }
     auto input = try_edges();
     if (!input.ok()) return input.status();
     return graph::build_undirected(std::move(input->edges),

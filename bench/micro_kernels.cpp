@@ -183,8 +183,10 @@ int main(int argc, char** argv) {
     });
   }
   {
-    // The input rebuilt from its edge list. build_csr consumes its input,
-    // so every call gets a fresh copy, made before the clock starts.
+    // The input rebuilt from its 24-byte edge list. build_csr consumes its
+    // input, so every call gets a fresh copy, made before the clock starts.
+    // The harness builds kronN from (u, v) pairs (make_rmat), so the byte
+    // check compares the two builder inputs.
     const auto input = h.options().graph.try_edges().value_or_throw();
     std::vector<graph::Edge> fresh;
     graph::CSRGraph built;

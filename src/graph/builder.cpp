@@ -1,6 +1,7 @@
 #include "graph/builder.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace ga::graph {
 
@@ -12,7 +13,14 @@ void prefix_sum(std::vector<eid_t>& counts) {
   for (std::size_t i = 1; i < counts.size(); ++i) counts[i] += counts[i - 1];
 }
 
-}  // namespace
+// The fields the builder reads from its two input records. A bare (u, v)
+// pair weighs 1, the default weight of an Edge.
+vid_t tail(const Edge& e) { return e.u; }
+vid_t head(const Edge& e) { return e.v; }
+float weight(const Edge& e) { return e.w; }
+vid_t tail(const std::pair<vid_t, vid_t>& e) { return e.first; }
+vid_t head(const std::pair<vid_t, vid_t>& e) { return e.second; }
+float weight(const std::pair<vid_t, vid_t>&) { return 1.0f; }
 
 // Two counting passes and no comparisons between arcs. An arc's rank is
 // its position in the symmetrized list: the kept edges by input index,
@@ -21,20 +29,21 @@ void prefix_sum(std::vector<eid_t>& counts) {
 // appends each to its source's list, so every list comes out in ascending
 // target order, with the copies of a duplicate arc adjacent and in rank
 // order. Keeping the first copy keeps the first-seen weight.
-CSRGraph build_csr(std::vector<Edge> edges, vid_t num_vertices,
-                   const BuildOptions& opts) {
+template <typename Record>
+CSRGraph build(std::vector<Record> edges, vid_t num_vertices,
+               const BuildOptions& opts) {
   vid_t n = num_vertices;
   if (n == 0) {
-    for (const Edge& e : edges) n = std::max({n, e.u + 1, e.v + 1});
+    for (const Record& e : edges) n = std::max({n, tail(e) + 1, head(e) + 1});
   } else {
-    for (const Edge& e : edges) {
-      GA_CHECK(e.u < n && e.v < n, "edge endpoint out of range");
+    for (const Record& e : edges) {
+      GA_CHECK(tail(e) < n && head(e) < n, "edge endpoint out of range");
     }
   }
   const bool symmetrize = !opts.directed;
   const bool keep_w = opts.keep_weights;
-  const auto kept = [&](const Edge& e) {
-    return !opts.remove_self_loops || e.u != e.v;
+  const auto kept = [&](const Record& e) {
+    return !opts.remove_self_loops || tail(e) != head(e);
   };
 
   // Bucket bounds by target (pass 1) and by source (pass 2). A
@@ -43,10 +52,10 @@ CSRGraph build_csr(std::vector<Edge> edges, vid_t num_vertices,
   std::vector<eid_t> by_target(static_cast<std::size_t>(n) + 1, 0);
   std::vector<eid_t> by_source;
   if (!symmetrize) by_source.assign(by_target.size(), 0);
-  for (const Edge& e : edges) {
+  for (const Record& e : edges) {
     if (!kept(e)) continue;
-    ++by_target[e.v + 1];
-    ++(symmetrize ? by_target : by_source)[e.u + 1];
+    ++by_target[head(e) + 1];
+    ++(symmetrize ? by_target : by_source)[tail(e) + 1];
   }
   prefix_sum(by_target);
   if (!symmetrize) prefix_sum(by_source);
@@ -63,17 +72,17 @@ CSRGraph build_csr(std::vector<Edge> edges, vid_t num_vertices,
     src[slot] = s;
     if (keep_w) src_w[slot] = w;
   };
-  for (const Edge& e : edges) {
-    if (kept(e)) put(e.u, e.v, e.w);
+  for (const Record& e : edges) {
+    if (kept(e)) put(tail(e), head(e), weight(e));
   }
   if (symmetrize) {
-    for (const Edge& e : edges) {
-      if (kept(e)) put(e.v, e.u, e.w);
+    for (const Record& e : edges) {
+      if (kept(e)) put(head(e), tail(e), weight(e));
     }
   }
   // Free the input before pass 2 allocates: a caller's resident set is
   // set by this function's heap high-water mark (DESIGN.md §17).
-  std::vector<Edge>().swap(edges);
+  std::vector<Record>().swap(edges);
   std::copy_backward(by_target.begin(), by_target.end() - 1, by_target.end());
   by_target[0] = 0;
 
@@ -114,6 +123,18 @@ CSRGraph build_csr(std::vector<Edge> edges, vid_t num_vertices,
   }
   return CSRGraph(std::move(offsets), std::move(targets), std::move(weights),
                   opts.directed);
+}
+
+}  // namespace
+
+CSRGraph build_csr(std::vector<Edge> edges, vid_t num_vertices,
+                   const BuildOptions& opts) {
+  return build(std::move(edges), num_vertices, opts);
+}
+
+CSRGraph build_csr(std::vector<std::pair<vid_t, vid_t>> arcs,
+                   vid_t num_vertices, const BuildOptions& opts) {
+  return build(std::move(arcs), num_vertices, opts);
 }
 
 CSRGraph build_undirected(std::vector<Edge> edges, vid_t num_vertices) {

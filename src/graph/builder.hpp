@@ -4,6 +4,7 @@
 // lists in ascending target order.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "graph/csr_graph.hpp"
@@ -22,6 +23,12 @@ struct BuildOptions {
 /// vertices >= num_vertices throw. num_vertices==0 infers 1+max id.
 CSRGraph build_csr(std::vector<Edge> edges, vid_t num_vertices,
                    const BuildOptions& opts = {});
+
+/// The same build over bare (u, v) arcs, each of weight 1: 8 bytes an arc
+/// where an Edge takes 24. Gives the bytes the Edge overload gives for the
+/// same arcs.
+CSRGraph build_csr(std::vector<std::pair<vid_t, vid_t>> arcs,
+                   vid_t num_vertices, const BuildOptions& opts = {});
 
 /// Convenience for tests: undirected unweighted graph from initializer data.
 CSRGraph build_undirected(std::vector<Edge> edges, vid_t num_vertices = 0);

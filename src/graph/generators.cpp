@@ -1,7 +1,9 @@
 #include "graph/generators.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_set>
+#include <utility>
 
 #include "core/hash.hpp"
 #include "core/prng.hpp"
@@ -11,31 +13,56 @@ namespace ga::graph {
 
 using core::Xoshiro256;
 
-std::vector<Edge> rmat_edges(const RmatParams& p) {
+namespace {
+
+// Xoshiro256::next_double() is r = (x >> 11) * 2^-53 for the raw draw x.
+// For 0 <= t < 1, r >= t holds exactly when x >= ceil(t * 2^53) << 11:
+// x >> 11 is an integer, and scaling by a power of two is exact. The
+// shifted value fits, since t < 1 puts ceil(t * 2^53) below 2^53.
+std::uint64_t draw_threshold(double t) {
+  return static_cast<std::uint64_t>(std::ceil(t * 0x1.0p53)) << 11;
+}
+
+// The RMAT draw loop of rmat_edges and make_rmat: the m edges in stream
+// order, edge i stored as make(u, v, i) in an exact-size vector.
+template <typename Record, typename Make>
+std::vector<Record> rmat_draw(const RmatParams& p, Make make) {
   GA_CHECK(p.scale > 0 && p.scale < 31, "rmat scale out of range");
+  // draw_threshold needs every threshold in [0, 1).
+  GA_CHECK(p.a >= 0 && p.b >= 0 && p.c >= 0,
+           "rmat probabilities must be non-negative");
   GA_CHECK(p.a + p.b + p.c < 1.0, "rmat probabilities must sum below 1");
   const vid_t n = vid_t{1} << p.scale;
   const eid_t m = static_cast<eid_t>(p.edge_factor) * n;
   Xoshiro256 rng(p.seed);
-  std::vector<Edge> edges;
+  std::vector<Record> edges;
   edges.reserve(m);
-  const double ab = p.a + p.b;
-  const double abc = p.a + p.b + p.c;
+  const std::uint64_t a = draw_threshold(p.a);
+  const std::uint64_t ab = draw_threshold(p.a + p.b);
+  const std::uint64_t abc = draw_threshold(p.a + p.b + p.c);
   for (eid_t i = 0; i < m; ++i) {
     vid_t u = 0, v = 0;
     for (unsigned bit = 0; bit < p.scale; ++bit) {
-      const double r = rng.next_double();
+      const std::uint64_t x = rng.next();
       // Quadrant choice per recursion level. `&` and `|` on bools make
       // every comparison evaluate, so the choice costs no data-dependent
       // branch (the draws are random, so such a branch mispredicts).
-      const bool ubit = r >= ab;
-      const bool vbit = ((r >= p.a) & (r < ab)) | (r >= abc);
+      const bool ubit = x >= ab;
+      const bool vbit = ((x >= a) & (x < ab)) | (x >= abc);
       u = (u << 1) | static_cast<vid_t>(ubit);
       v = (v << 1) | static_cast<vid_t>(vbit);
     }
-    edges.push_back(Edge{u, v, 1.0f, static_cast<std::int64_t>(i)});
+    edges.push_back(make(u, v, i));
   }
   return edges;
+}
+
+}  // namespace
+
+std::vector<Edge> rmat_edges(const RmatParams& p) {
+  return rmat_draw<Edge>(p, [](vid_t u, vid_t v, eid_t i) {
+    return Edge{u, v, 1.0f, static_cast<std::int64_t>(i)};
+  });
 }
 
 std::vector<Edge> erdos_renyi_edges(vid_t n, eid_t m, std::uint64_t seed) {
@@ -167,15 +194,21 @@ void randomize_weights(std::vector<Edge>& edges, float lo, float hi,
 }
 
 namespace {
-CSRGraph clean_undirected(std::vector<Edge> edges, vid_t n) {
+template <typename Record>
+CSRGraph clean_undirected(std::vector<Record> edges, vid_t n) {
   BuildOptions opts;
   opts.directed = false;
   return build_csr(std::move(edges), n, opts);
 }
 }  // namespace
 
+// Builds from 8-byte (u, v) arcs, not 24-byte Edges: the draw is the
+// largest allocation of the build, and an unweighted graph needs no more.
 CSRGraph make_rmat(const RmatParams& p) {
-  return clean_undirected(rmat_edges(p), vid_t{1} << p.scale);
+  return clean_undirected(
+      rmat_draw<std::pair<vid_t, vid_t>>(
+          p, [](vid_t u, vid_t v, eid_t) { return std::pair{u, v}; }),
+      vid_t{1} << p.scale);
 }
 CSRGraph make_erdos_renyi(vid_t n, eid_t m, std::uint64_t seed) {
   return clean_undirected(erdos_renyi_edges(n, m, seed), n);

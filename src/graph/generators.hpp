@@ -22,7 +22,8 @@ struct RmatParams {
 };
 
 /// RMAT/Kronecker edge list (may contain duplicates/self-loops exactly as
-/// Graph500 specifies; pass through build_csr to clean).
+/// Graph500 specifies; pass through build_csr to clean). Throws unless
+/// a, b and c are non-negative and sum below 1.
 std::vector<Edge> rmat_edges(const RmatParams& p);
 
 /// G(n, m): m distinct undirected edges sampled uniformly.

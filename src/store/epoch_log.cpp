@@ -104,6 +104,78 @@ void decode_epoch_payload(const char* data, std::size_t len, DeltaBatch* batch,
 }
 
 // --- checkpoint image -------------------------------------------------------
+//
+// Body: [u8 directed], then offsets, targets, weights and props, each as
+// [u64 count][count elements]. Both directions stream it between the file
+// and the CSR and property arrays where they sit, so neither holds a
+// second copy of the image.
+
+namespace {
+
+using PropVec = std::vector<std::pair<vid_t, float>>;
+
+// The CRC starts over the header fields, not just the body, so bit rot in
+// epoch or nbytes fails closed at load.
+std::uint32_t header_crc(std::uint64_t epoch, std::uint64_t nbytes) {
+  return core::crc32(&nbytes, sizeof(nbytes),
+                     core::crc32(&epoch, sizeof(epoch)));
+}
+
+// Calls fn(data, bytes) on each piece of the body, in file order. An empty
+// array contributes its count alone.
+template <typename Fn>
+void for_each_body_piece(const graph::CSRGraph& g, const PropVec& props,
+                         Fn fn) {
+  const std::uint8_t directed = g.directed() ? 1 : 0;
+  fn(&directed, sizeof(directed));
+  const auto array = [&](const auto& v) {
+    const auto count = static_cast<std::uint64_t>(v.size());
+    fn(&count, sizeof(count));
+    if (!v.empty()) fn(v.data(), v.size() * sizeof(v.front()));
+  };
+  array(g.offsets());
+  array(g.targets());
+  array(g.weights());
+  array(props);
+}
+
+// Reads a body into its arrays and folds every byte into a running CRC.
+// Each count is bounded by the body bytes left before it sizes an
+// allocation, so a damaged count fails as ga::Error, not std::bad_alloc.
+struct BodyReader {
+  std::istream& is;
+  std::uint64_t left;  // body bytes not yet read
+  std::uint32_t crc;
+  const std::string& dir;
+
+  void read(void* dst, std::uint64_t bytes) {
+    GA_CHECK(bytes <= left,
+             "epoch log: checkpoint body overruns its length in " + dir);
+    is.read(static_cast<char*>(dst), static_cast<std::streamsize>(bytes));
+    GA_CHECK(is.good(), "epoch log: truncated checkpoint body in " + dir);
+    crc = core::crc32(dst, bytes, crc);
+    left -= bytes;
+  }
+
+  template <typename T>
+  T get() {
+    T v{};
+    read(&v, sizeof(T));
+    return v;
+  }
+
+  template <typename T>
+  std::vector<T> get_vec() {
+    const auto count = get<std::uint64_t>();
+    GA_CHECK(count <= left / sizeof(T),
+             "epoch log: vector past checkpoint body in " + dir);
+    std::vector<T> v(count);
+    if (count > 0) read(v.data(), count * sizeof(T));
+    return v;
+  }
+};
+
+}  // namespace
 
 bool load_checkpoint(const std::string& dir, CheckpointImage* out) {
   const std::string path = EpochLog::checkpoint_path(dir);
@@ -119,41 +191,31 @@ bool load_checkpoint(const std::string& dir, CheckpointImage* out) {
   is.read(reinterpret_cast<char*>(&nbytes), sizeof(nbytes));
   is.read(reinterpret_cast<char*>(&crc), sizeof(crc));
   GA_CHECK(is.good(), "epoch log: truncated checkpoint header in " + dir);
-  // Bound the length field against the file BEFORE sizing an allocation
-  // with it: a bit-rotted nbytes must fail like any other corruption, not
-  // as a multi-GB std::bad_alloc. A rotted-but-plausible length still
-  // fails closed below — the CRC covers the header fields too.
+  // Bound the length field against the file first, since it bounds every
+  // count in the body: a bit-rotted nbytes must fail like any other
+  // corruption. A rotted-but-plausible length still fails closed below —
+  // the CRC covers the header fields too.
   constexpr std::uint64_t kHeaderBytes =
       sizeof(kCheckpointMagic) + sizeof(epoch) + sizeof(nbytes) + sizeof(crc);
   const std::uint64_t fsize = resilience::file_size(path);
   GA_CHECK(fsize >= kHeaderBytes && nbytes <= fsize - kHeaderBytes,
            "epoch log: checkpoint length field exceeds file in " + dir);
-  std::vector<char> bytes(nbytes);
-  is.read(bytes.data(), static_cast<std::streamsize>(nbytes));
-  GA_CHECK(is.good(), "epoch log: truncated checkpoint body in " + dir);
-  std::uint32_t actual = core::crc32(&epoch, sizeof(epoch));
-  actual = core::crc32(&nbytes, sizeof(nbytes), actual);
-  actual = core::crc32(bytes.data(), bytes.size(), actual);
-  GA_CHECK(actual == crc, "epoch log: checkpoint CRC mismatch in " + dir);
 
-  const char* d = bytes.data();
-  const std::size_t len = bytes.size();
-  std::size_t at = 0;
-  const bool directed = get<std::uint8_t>(d, len, &at) != 0;
-  auto offsets = get_vec<eid_t>(d, len, &at);
-  auto targets = get_vec<vid_t>(d, len, &at);
-  auto weights = get_vec<float>(d, len, &at);
-  auto props = get_vec<std::pair<vid_t, float>>(d, len, &at);
-  GA_CHECK(at == len, "epoch log: trailing bytes in checkpoint body");
+  BodyReader body{is, nbytes, header_crc(epoch, nbytes), dir};
+  const bool directed = body.get<std::uint8_t>() != 0;
+  auto offsets = body.get_vec<eid_t>();
+  auto targets = body.get_vec<vid_t>();
+  auto weights = body.get_vec<float>();
+  auto props = body.get_vec<PropVec::value_type>();
+  GA_CHECK(body.left == 0, "epoch log: trailing bytes in checkpoint body");
+  GA_CHECK(body.crc == crc, "epoch log: checkpoint CRC mismatch in " + dir);
 
   out->epoch = epoch;
   out->base = std::make_shared<const graph::CSRGraph>(
       std::move(offsets), std::move(targets), std::move(weights), directed);
-  out->props =
-      props.empty()
-          ? nullptr
-          : std::make_shared<const std::vector<std::pair<vid_t, float>>>(
-                std::move(props));
+  out->props = props.empty()
+                   ? nullptr
+                   : std::make_shared<const PropVec>(std::move(props));
   return true;
 }
 
@@ -320,27 +382,21 @@ void EpochLog::checkpoint(const GraphView& view) {
   if (has_checkpoint_ && view.epoch() <= stats_.checkpoint_epoch) return;
   hook("ckpt_begin");
 
-  // Serialize the flattened base image. flatten() on a compacted view is a
-  // cache load; on a deep chain it pays the fold the compactor would have.
+  // The flattened base image. flatten() on a compacted view is a cache
+  // load; on a deep chain it pays the fold the compactor would have.
   const auto flat = view.flatten();
-  std::vector<char> body;
-  put(&body, static_cast<std::uint8_t>(flat->directed() ? 1 : 0));
-  put_vec(&body, flat->offsets());
-  put_vec(&body, flat->targets());
-  put_vec(&body, flat->weights());
   const auto props = view.flatten_props();
-  if (props) {
-    put_vec(&body, *props);
-  } else {
-    put(&body, static_cast<std::uint64_t>(0));
-  }
+  const PropVec no_props;
+  const PropVec& prop_vec = props ? *props : no_props;
   const std::uint64_t ck_epoch = view.epoch();
-  const std::uint64_t nbytes = body.size();
-  // The CRC covers the header fields, not just the body, so bit rot in
-  // epoch or nbytes fails closed at load.
-  std::uint32_t crc = core::crc32(&ck_epoch, sizeof(ck_epoch));
-  crc = core::crc32(&nbytes, sizeof(nbytes), crc);
-  crc = core::crc32(body.data(), body.size(), crc);
+  std::uint64_t nbytes = 0;
+  for_each_body_piece(*flat, prop_vec,
+                      [&](const void*, std::size_t bytes) { nbytes += bytes; });
+  std::uint32_t crc = header_crc(ck_epoch, nbytes);
+  for_each_body_piece(*flat, prop_vec,
+                      [&](const void* data, std::size_t bytes) {
+                        crc = core::crc32(data, bytes, crc);
+                      });
 
   // tmp → fsync → rename → dir-fsync: a crash at any point leaves either
   // the old checkpoint or the new one, never a partial image, and the
@@ -355,7 +411,11 @@ void EpochLog::checkpoint(const GraphView& view) {
     os.write(reinterpret_cast<const char*>(&ck_epoch), sizeof(ck_epoch));
     os.write(reinterpret_cast<const char*>(&nbytes), sizeof(nbytes));
     os.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
-    os.write(body.data(), static_cast<std::streamsize>(body.size()));
+    for_each_body_piece(*flat, prop_vec,
+                        [&](const void* data, std::size_t bytes) {
+                          os.write(static_cast<const char*>(data),
+                                   static_cast<std::streamsize>(bytes));
+                        });
     os.flush();
     GA_CHECK(os.good(), "epoch log: checkpoint write failed: " + tmp);
   }

@@ -5,6 +5,7 @@
 #include <functional>
 
 #include "core/hash.hpp"
+#include "core/prng.hpp"
 #include "graph/builder.hpp"
 #include "graph/degree_stats.hpp"
 #include "graph/generators.hpp"
@@ -113,6 +114,70 @@ TEST(Rmat, StreamIsPinned) {
     const auto g = make_rmat(params);
     EXPECT_EQ(digest(g.offsets()), p.offsets) << "scale " << p.scale;
     EXPECT_EQ(digest(g.targets()), p.targets) << "scale " << p.scale;
+  }
+}
+
+// rmat_edges compares raw 64-bit draws against integer thresholds. This
+// is the double-compare loop it replaced; the two must draw the same
+// edges for any probabilities, not just the defaults.
+std::vector<Edge> rmat_edges_double_compare(const RmatParams& p) {
+  const vid_t n = vid_t{1} << p.scale;
+  const eid_t m = static_cast<eid_t>(p.edge_factor) * n;
+  core::Xoshiro256 rng(p.seed);
+  std::vector<Edge> edges;
+  const double ab = p.a + p.b;
+  const double abc = p.a + p.b + p.c;
+  for (eid_t i = 0; i < m; ++i) {
+    vid_t u = 0, v = 0;
+    for (unsigned bit = 0; bit < p.scale; ++bit) {
+      const double r = rng.next_double();
+      const bool ubit = r >= ab;
+      const bool vbit = (r >= p.a && r < ab) || r >= abc;
+      u = (u << 1) | static_cast<vid_t>(ubit);
+      v = (v << 1) | static_cast<vid_t>(vbit);
+    }
+    edges.push_back(Edge{u, v, 1.0f, static_cast<std::int64_t>(i)});
+  }
+  return edges;
+}
+
+TEST(Rmat, IntegerThresholdsMatchDoubleCompare) {
+  struct Probs {
+    double a, b, c;
+  };
+  for (const Probs& q : {Probs{0.57, 0.19, 0.19},         // Graph500
+                         Probs{0.25, 0.25, 0.25},         // dyadic: exact ties
+                         Probs{1.0 / 3, 1.0 / 7, 0.1},    // non-dyadic
+                         Probs{0.6, 0.0, 0.3},            // b = 0
+                         Probs{0.0, 0.45, 0.45},          // a = 0
+                         Probs{0.999, 1e-17, 0.0009}}) {  // near 1, tiny b
+    const RmatParams p{.scale = 10, .edge_factor = 8,
+                       .a = q.a, .b = q.b, .c = q.c, .seed = 9};
+    SCOPED_TRACE(testing::Message() << "a=" << q.a << " b=" << q.b
+                                    << " c=" << q.c);
+    const auto got = rmat_edges(p);
+    const auto want = rmat_edges_double_compare(p);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].u, want[i].u) << "edge " << i;
+      ASSERT_EQ(got[i].v, want[i].v) << "edge " << i;
+      ASSERT_EQ(got[i].ts, want[i].ts) << "edge " << i;
+      ASSERT_EQ(got[i].w, 1.0f) << "edge " << i;
+    }
+    // make_rmat draws into (u, v) pairs; the graph is the Edge path's.
+    const auto g = make_rmat(p);
+    const auto ref = build_csr(rmat_edges(p), vid_t{1} << p.scale);
+    EXPECT_EQ(g.directed(), ref.directed());
+    EXPECT_EQ(g.offsets(), ref.offsets());
+    EXPECT_EQ(g.targets(), ref.targets());
+    EXPECT_EQ(g.weights(), ref.weights());
+  }
+  // Integer thresholds need non-negative probabilities.
+  for (const Probs& q : {Probs{-0.1, 0.5, 0.5}, Probs{0.5, -1e-300, 0.2},
+                         Probs{0.2, 0.2, -0.3}}) {
+    const RmatParams p{.scale = 4, .a = q.a, .b = q.b, .c = q.c};
+    EXPECT_THROW(rmat_edges(p), ga::Error);
+    EXPECT_THROW(make_rmat(p), ga::Error);
   }
 }
 

@@ -146,6 +146,9 @@ TEST(Builder, MatchesStableSortReference) {
     vid_t max_id = 0;
     for (const Edge& e : in.edges) max_id = std::max({max_id, e.u, e.v});
     const vid_t exact = in.edges.empty() ? 1 : max_id + 1;
+    // The same arcs as bare (u, v) pairs, the unweighted input.
+    std::vector<std::pair<vid_t, vid_t>> pairs;
+    for (const Edge& e : in.edges) pairs.emplace_back(e.u, e.v);
     for (const vid_t n : {exact, vid_t{0}, exact + 5}) {
       for (unsigned bits = 0; bits < 16; ++bits) {
         BuildOptions opts;
@@ -161,6 +164,15 @@ TEST(Builder, MatchesStableSortReference) {
         EXPECT_TRUE(same_bytes(got.offsets(), want.offsets()));
         EXPECT_TRUE(same_bytes(got.targets(), want.targets()));
         EXPECT_TRUE(same_bytes(got.weights(), want.weights()));
+        // Arcs and order do not depend on weights; every pair weighs 1.
+        const auto from_pairs = build_csr(pairs, n, opts);
+        EXPECT_EQ(from_pairs.directed(), want.directed());
+        EXPECT_TRUE(same_bytes(from_pairs.offsets(), want.offsets()));
+        EXPECT_TRUE(same_bytes(from_pairs.targets(), want.targets()));
+        EXPECT_EQ(from_pairs.weights().size(), want.weights().size());
+        EXPECT_TRUE(std::all_of(from_pairs.weights().begin(),
+                                from_pairs.weights().end(),
+                                [](float w) { return w == 1.0f; }));
       }
     }
   }

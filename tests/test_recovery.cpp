@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -23,8 +24,10 @@
 #include <utility>
 #include <vector>
 
+#include "core/hash.hpp"
 #include "core/prng.hpp"
 #include "graph/builder.hpp"
+#include "graph/generators.hpp"
 #include "resilience/fault_injection.hpp"
 #include "resilience/record_io.hpp"
 #include "server/server.hpp"
@@ -542,6 +545,159 @@ TEST(Recovery, BitRottedCheckpointHeaderFailsClosed) {
   resilience::corrupt_byte(EpochLog::checkpoint_path(dir2), 8);
   EXPECT_THROW(load_checkpoint(dir2, &img), Error);
   fs::remove_all(dir2);
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint bytes. The writer streams the body from the CSR and property
+// arrays and the loader reads it back into them; the file format is the
+// one the buffered encoder below wrote: the whole body staged in one
+// vector, then magic, epoch, body length, CRC and body.
+
+template <typename T>
+void ref_put(std::vector<char>* out, const T& v) {
+  const auto* p = reinterpret_cast<const char*>(&v);
+  out->insert(out->end(), p, p + sizeof(T));
+}
+
+template <typename T>
+void ref_put_vec(std::vector<char>* out, const std::vector<T>& v) {
+  ref_put(out, static_cast<std::uint64_t>(v.size()));
+  const auto* p = reinterpret_cast<const char*>(v.data());
+  out->insert(out->end(), p, p + v.size() * sizeof(T));
+}
+
+std::vector<char> reference_checkpoint(const GraphView& view) {
+  const auto flat = view.flatten();
+  std::vector<char> body;
+  ref_put(&body, static_cast<std::uint8_t>(flat->directed() ? 1 : 0));
+  ref_put_vec(&body, flat->offsets());
+  ref_put_vec(&body, flat->targets());
+  ref_put_vec(&body, flat->weights());
+  const auto props = view.flatten_props();
+  if (props) {
+    ref_put_vec(&body, *props);
+  } else {
+    ref_put(&body, std::uint64_t{0});
+  }
+  const std::uint64_t epoch = view.epoch();
+  const std::uint64_t nbytes = body.size();
+  std::uint32_t crc = core::crc32(&epoch, sizeof(epoch));
+  crc = core::crc32(&nbytes, sizeof(nbytes), crc);
+  crc = core::crc32(body.data(), body.size(), crc);
+  std::vector<char> file = {'G', 'A', 'E', 'P', 'C', 'K', 'P', '2'};
+  ref_put(&file, epoch);
+  ref_put(&file, nbytes);
+  ref_put(&file, crc);
+  file.insert(file.end(), body.begin(), body.end());
+  return file;
+}
+
+std::vector<char> read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+void write_file(const std::string& path, const char* data, std::size_t len) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(data, static_cast<std::streamsize>(len));
+}
+
+/// Checkpoints `view` into a fresh directory and returns the directory.
+std::string checkpoint_of(const GraphView& view, const std::string& name) {
+  const std::string dir = fresh_dir(name);
+  EpochLog({.dir = dir}).checkpoint(view);
+  return dir;
+}
+
+TEST(Checkpoint, BytesMatchReferenceEncoder) {
+  // An undirected unweighted kron graph.
+  const GraphView kron = GraphView::of(
+      graph::make_rmat({.scale = 9, .edge_factor = 8, .seed = 3}));
+  // A directed weighted graph, at a non-zero epoch.
+  auto arcs = graph::rmat_edges({.scale = 8, .edge_factor = 4, .seed = 5});
+  graph::randomize_weights(arcs, 0.5f, 2.0f, 5);
+  graph::BuildOptions directed;
+  directed.directed = true;
+  directed.keep_weights = true;
+  const GraphView weighted =
+      GraphView::of(graph::build_csr(std::move(arcs), 256, directed), 7);
+  // A delta-chained view whose layers carry property patches.
+  const Workload w = make_workload(83, 7);
+  const auto chained_store = twin_at(w, 7);
+  const GraphView chained = chained_store->view();
+  ASSERT_EQ(chained.chain_depth(), 7u);
+  ASSERT_NE(chained.flatten_props(), nullptr);
+
+  const std::pair<const char*, const GraphView*> cases[] = {
+      {"kron", &kron}, {"directed_weighted", &weighted}, {"chained", &chained}};
+  for (const auto& [name, view] : cases) {
+    SCOPED_TRACE(name);
+    const std::string dir = checkpoint_of(*view, std::string("ckpt_") + name);
+    EXPECT_EQ(read_file(EpochLog::checkpoint_path(dir)),
+              reference_checkpoint(*view));
+
+    CheckpointImage img;
+    ASSERT_TRUE(load_checkpoint(dir, &img));
+    const auto flat = view->flatten();
+    EXPECT_EQ(img.epoch, view->epoch());
+    EXPECT_EQ(img.base->directed(), flat->directed());
+    EXPECT_EQ(img.base->offsets(), flat->offsets());
+    EXPECT_EQ(img.base->targets(), flat->targets());
+    EXPECT_EQ(img.base->weights(), flat->weights());
+    const auto props = view->flatten_props();
+    ASSERT_EQ(img.props == nullptr, props == nullptr);
+    if (props) {
+      EXPECT_EQ(*img.props, *props);
+    }
+    fs::remove_all(dir);
+  }
+}
+
+// Every flipped byte (two masks) and every truncation of a small image
+// fails as ga::Error: never std::bad_alloc from a damaged count, and never
+// a returned image. The image fills every array the body holds.
+TEST(Checkpoint, EveryFlippedOrTruncatedByteFailsClosed) {
+  graph::BuildOptions directed;
+  directed.directed = true;
+  directed.keep_weights = true;
+  VersionedGraphStore store(
+      graph::build_csr({{0, 1, 0.5f, 0}, {1, 2, 1.5f, 0}, {2, 0, 2.5f, 0},
+                        {3, 4, 3.5f, 0}, {4, 5, 4.5f, 0}, {5, 3, 5.5f, 0}},
+                       8, directed),
+      manual_compaction());
+  DeltaBatch batch(/*directed=*/true);
+  batch.insert_edge(6, 7, 6.5f);
+  batch.delete_edge(4, 5);
+  batch.set_vertex_property(2, 0.25f);
+  batch.set_vertex_property(7, -1.0f);
+  store.apply(batch);
+  const GraphView view = store.view();
+  const std::string dir = checkpoint_of(view, "ckpt_sweep");
+  const std::string path = EpochLog::checkpoint_path(dir);
+  const std::vector<char> good = read_file(path);
+  ASSERT_EQ(good, reference_checkpoint(view));
+
+  CheckpointImage img;
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    for (const unsigned char mask : {0x01, 0xff}) {
+      std::vector<char> bad = good;
+      bad[i] = static_cast<char>(bad[i] ^ mask);
+      write_file(path, bad.data(), bad.size());
+      EXPECT_THROW(load_checkpoint(dir, &img), Error)
+          << "byte " << i << " mask " << int{mask};
+    }
+  }
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    write_file(path, good.data(), len);
+    EXPECT_THROW(load_checkpoint(dir, &img), Error) << "length " << len;
+  }
+
+  write_file(path, good.data(), good.size());
+  ASSERT_TRUE(load_checkpoint(dir, &img));
+  EXPECT_EQ(img.epoch, 1u);
+  GraphView loaded(img.base, {}, img.props, img.epoch, img.base->num_arcs());
+  EXPECT_EQ(view_digest(loaded), view_digest(view));
+  fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
