@@ -502,6 +502,9 @@ int main(int argc, char** argv) {
   probe.kind = QueryKind::kPageRankTopK;
   probe.k = 10;
   probe.seed = 0;
+  // The clients left a warm PageRank result at this epoch, which would
+  // answer the miss with an empty-delta refine instead of a PageRank run.
+  probe.allow_incremental = false;
   server.scheduler().cache().clear();
   core::WallTimer t;
   QueryResult cold = server.execute_now(probe);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string_view>
 
 #include "core/timer.hpp"
 #include "engine/multi_source.hpp"
@@ -20,6 +21,38 @@ namespace {
 /// global footprint. Bounds both the per-entry memory and the per-publish
 /// intersection work in the cache.
 constexpr std::size_t kFootprintCap = 4096;
+constexpr std::size_t kCacheShards = 8;
+/// Delta summaries retained for warm-state catch-up; warm results older
+/// than this many store epochs fall back to batch recompute.
+constexpr std::size_t kMaxDeltaHistory = 32;
+/// Most queued BFS queries one multi-source pass answers.
+constexpr std::size_t kMaxBfsBatch = 16;
+static_assert(kMaxBfsBatch <= engine::kMaxMultiSourceSeeds);
+/// The span a query's kernel time is recorded under, whether it ran alone
+/// or in a fused pass.
+constexpr std::string_view kKernelSpan = "serve.kernel";
+
+/// A serve.* span, opened only under the caller's trace: an untraced query
+/// (invalid context) starts no trace of its own and records no span.
+class ServeSpan {
+ public:
+  ServeSpan(std::string_view name, const obs::TraceContext& parent) {
+    if (parent.valid()) span_.emplace(name, parent);
+  }
+  obs::TraceContext context() const {
+    return span_ ? span_->context() : obs::TraceContext{};
+  }
+  bool live() const { return span_ && span_->live(); }
+  void set_detail(std::string_view d) {
+    if (span_) span_->set_detail(std::string(d));
+  }
+  void set_status(core::StatusCode s) {
+    if (span_) span_->set_status(s);
+  }
+
+ private:
+  std::optional<obs::ScopedSpan> span_;
+};
 
 /// BFS answers depend only on the adjacency of the reached set: an arc
 /// change can alter a distance only if some changed endpoint is reachable,
@@ -88,14 +121,12 @@ void obs_count_query(const QueryResult& r) {
 QueryScheduler::QueryScheduler(SnapshotManager& snaps, SchedulerOptions opts)
     : snaps_(snaps),
       opts_(opts),
-      cache_(opts.cache_capacity, opts.cache_shards),
+      cache_(opts.cache_capacity, kCacheShards),
       // ThreadPool counts the calling thread, so +1 yields `workers`
       // dedicated task threads even though this object never calls
       // parallel_for on its own pool.
       pool_(std::max(1u, opts.workers) + 1) {
   opts_.workers = std::max(1u, opts_.workers);
-  opts_.max_bfs_batch = std::clamp<std::size_t>(opts_.max_bfs_batch, 1,
-                                                engine::kMaxMultiSourceSeeds);
   paused_ = opts_.start_paused;
   // Epoch advance: delta-aware invalidation (footprint-disjoint entries
   // carry forward) + warm incremental state maintenance.
@@ -114,117 +145,118 @@ QueryScheduler::~QueryScheduler() {
 std::future<QueryResult> QueryScheduler::submit(const QueryDesc& desc) {
   std::promise<QueryResult> prom;
   std::future<QueryResult> fut = prom.get_future();
-  {
-    std::lock_guard<std::mutex> lk(qmu_);
-    ++stats_.submitted;
-  }
-
-  const std::uint64_t epoch = snaps_.current_epoch();
-  if (epoch == 0) {
-    QueryResult r;
-    r.status = QueryStatus::kNoSnapshot;
-    r.kind = desc.kind;
-    {
-      std::lock_guard<std::mutex> lk(qmu_);
-      ++stats_.no_snapshot;
-    }
-    obs_count_query(r);
-    prom.set_value(std::move(r));
-    return fut;
-  }
-
-  if (desc.use_cache) {
-    if (auto hit = cache_.lookup(QueryKey::of(desc, epoch))) {
-      QueryResult r = *hit;  // immutable shared entry; copy for the caller
-      r.cache_hit = true;
-      r.wait_ms = 0.0;
-      r.exec_ms = 0.0;  // no kernel ran for this caller
-      {
-        std::lock_guard<std::mutex> lk(qmu_);
-        ++stats_.cache_hits;
-      }
-      obs_count_query(r);
-      prom.set_value(std::move(r));
-      return fut;
-    }
-  }
-
+  SnapshotRef snap;
   CostEstimate est;
-  if (auto rejected = admission_check(desc, est)) {
-    obs_count_query(*rejected);
-    prom.set_value(std::move(*rejected));
+  if (auto r = admit(desc, /*queued=*/true, snap, est)) {
+    prom.set_value(std::move(*r));
     return fut;
   }
-
+  // The admission lease only priced the query: it leases again when a
+  // worker runs it, so a queued query never pins a superseded epoch.
+  snap.release();
   auto p = std::make_unique<Pending>();
   p->desc = desc;
   p->promise = std::move(prom);
   p->est = est;
   p->submitted_at = std::chrono::steady_clock::now();
-  enqueue(std::move(p));
-  return fut;
-}
-
-std::optional<QueryResult> QueryScheduler::admission_check(
-    const QueryDesc& desc, CostEstimate& est) {
-  {
-    SnapshotRef snap = snaps_.acquire();
-    if (!snap) {
-      QueryResult r;
-      r.status = QueryStatus::kNoSnapshot;
-      r.kind = desc.kind;
-      std::lock_guard<std::mutex> lk(qmu_);
-      ++stats_.no_snapshot;
-      return r;
-    }
-    est = model_.predict(desc, snap.view().num_vertices(),
-                         snap.view().num_arcs());
-  }
-
   const std::size_t ci = static_cast<std::size_t>(desc.klass);
-  std::lock_guard<std::mutex> lk(qmu_);
-  QueryResult r;
-  r.kind = desc.kind;
-  r.predicted_ms = est.ms;
-  r.epoch = snaps_.current_epoch();
-  if (queues_[ci].size() >= opts_.max_queue_per_class) {
-    r.status = QueryStatus::kRejectedBacklog;
-    ++stats_.rejected_backlog;
-    return r;
-  }
-  if (desc.deadline_ms > 0.0) {
-    if (est.ms > desc.deadline_ms) {
-      r.status = QueryStatus::kRejectedCost;
-      ++stats_.rejected_cost;
-      return r;
-    }
-    // Work queued at this class or better drains before this query can
-    // start; spread across the worker threads it bounds the expected wait.
-    double ahead_ms = 0.0;
-    for (std::size_t c = 0; c <= ci; ++c) ahead_ms += queued_cost_ms_[c];
-    if (ahead_ms / opts_.workers + est.ms > desc.deadline_ms) {
-      r.status = QueryStatus::kRejectedOverload;
-      ++stats_.rejected_overload;
-      return r;
-    }
-  }
-  return std::nullopt;
-}
-
-void QueryScheduler::enqueue(std::unique_ptr<Pending> p) {
-  const QueryClass klass = p->desc.klass;
-  const std::size_t ci = static_cast<std::size_t>(klass);
   bool paused;
   {
     std::lock_guard<std::mutex> lk(qmu_);
-    ++stats_.admitted;
-    queued_cost_ms_[ci] += p->est.ms;
+    queued_cost_ms_[ci] += est.ms;
     queues_[ci].push_back(std::move(p));
     paused = paused_;
   }
   if (!paused) {
-    pool_.submit([this] { drain_one(); }, pool_priority(klass));
+    pool_.submit([this] { drain_one(); }, pool_priority(desc.klass));
   }
+  return fut;
+}
+
+QueryResult QueryScheduler::execute_now(const QueryDesc& desc) {
+  SnapshotRef snap;
+  CostEstimate est;
+  if (auto r = admit(desc, /*queued=*/false, snap, est)) return std::move(*r);
+  QueryResult r = run(desc, est, snap);
+  settle(r);
+  return r;
+}
+
+std::optional<QueryResult> QueryScheduler::admit(const QueryDesc& desc,
+                                                 bool queued,
+                                                 SnapshotRef& snap,
+                                                 CostEstimate& est) {
+  {
+    std::lock_guard<std::mutex> lk(qmu_);
+    ++stats_.submitted;
+  }
+  QueryResult r;
+  r.kind = desc.kind;
+  const std::uint64_t epoch = snaps_.current_epoch();
+  if (epoch == 0) {
+    r.status = QueryStatus::kNoSnapshot;
+    settle(r);
+    return r;
+  }
+  if (desc.use_cache) {
+    ServeSpan span("serve.cache_lookup", desc.trace);
+    const auto hit = cache_.lookup(QueryKey::of(desc, epoch));
+    span.set_detail(hit ? "hit" : "miss");
+    if (hit) {
+      r = *hit;  // immutable shared entry; copy for the caller
+      r.cache_hit = true;
+      r.wait_ms = 0.0;
+      r.exec_ms = 0.0;  // no kernel ran for this caller
+      settle(r);
+      return r;
+    }
+  }
+  // Lease the snapshot, predict the Fig. 3 cost, gate on the deadline
+  // budget. The lease span nests under admission so the trace reads
+  // query → admission → snapshot epoch → kernel → engine steps.
+  ServeSpan adm("serve.admission", desc.trace);
+  {
+    ServeSpan lease("serve.snapshot_lease", adm.context());
+    snap = snaps_.acquire();
+    // Epochs only advance, so a published epoch always has a snapshot.
+    GA_ASSERT(snap);
+    if (lease.live()) lease.set_detail("epoch=" + std::to_string(snap.epoch()));
+  }
+  est = model_.predict(desc, snap.view().num_vertices(),
+                       snap.view().num_arcs());
+  if (adm.live()) {
+    char detail[64];
+    std::snprintf(detail, sizeof(detail), "predicted_ms=%.3f", est.ms);
+    adm.set_detail(detail);
+  }
+  r.predicted_ms = est.ms;
+  r.epoch = snap.epoch();
+  const std::size_t ci = static_cast<std::size_t>(desc.klass);
+  {
+    std::lock_guard<std::mutex> lk(qmu_);
+    r.status = QueryStatus::kOk;  // admitted unless a check below rejects
+    if (queued && queues_[ci].size() >= opts_.max_queue_per_class) {
+      r.status = QueryStatus::kRejectedBacklog;
+    } else if (desc.deadline_ms > 0.0 && est.ms > desc.deadline_ms) {
+      r.status = QueryStatus::kRejectedCost;
+    } else if (queued && desc.deadline_ms > 0.0) {
+      // Work queued at this class or better drains before this query can
+      // start; spread across the worker threads it bounds the expected
+      // wait.
+      double ahead_ms = 0.0;
+      for (std::size_t c = 0; c <= ci; ++c) ahead_ms += queued_cost_ms_[c];
+      if (ahead_ms / opts_.workers + est.ms > desc.deadline_ms) {
+        r.status = QueryStatus::kRejectedOverload;
+      }
+    }
+    if (r.ok()) {
+      ++stats_.admitted;
+      return std::nullopt;
+    }
+  }
+  adm.set_status(status_code(r.status));
+  settle(r);
+  return r;
 }
 
 void QueryScheduler::resume() {
@@ -271,7 +303,7 @@ void QueryScheduler::on_epoch_published(std::uint64_t epoch,
     if (contiguous) {
       delta = s;
       deltas_.push_back(s);
-      while (deltas_.size() > opts_.max_delta_history) deltas_.pop_front();
+      while (deltas_.size() > kMaxDeltaHistory) deltas_.pop_front();
     } else if (s != nullptr && s->epoch == view.epoch() && saw_publish_ &&
                view.epoch() == last_store_epoch_) {
       // Re-publication of the same store version (e.g. after a background
@@ -285,8 +317,8 @@ void QueryScheduler::on_epoch_published(std::uint64_t epoch,
       delta = std::move(same);
     } else {
       deltas_.clear();
-      warm_pr_.reset();
-      warm_wcc_.reset();
+      warm_pr_ = {};
+      warm_wcc_ = {};
     }
     last_store_epoch_ = view.epoch();
     saw_publish_ = true;
@@ -315,207 +347,214 @@ bool QueryScheduler::merged_delta(std::uint64_t from, std::uint64_t to,
   return true;
 }
 
-void QueryScheduler::count_incremental(bool served) {
-  std::lock_guard<std::mutex> lk(qmu_);
-  if (served) {
-    ++stats_.incremental_served;
-  } else {
-    ++stats_.incremental_fallbacks;
-  }
-}
-
 void QueryScheduler::drain_one() {
-  std::unique_ptr<Pending> first;
-  std::vector<std::unique_ptr<Pending>> batch;
+  std::vector<std::unique_ptr<Pending>> group;
+  SnapshotRef snap;
   {
     std::lock_guard<std::mutex> lk(qmu_);
-    for (std::size_t c = 0; c < 3 && !first; ++c) {
-      if (!queues_[c].empty()) {
-        first = std::move(queues_[c].front());
-        queues_[c].pop_front();
-        queued_cost_ms_[c] =
-            std::max(0.0, queued_cost_ms_[c] - first->est.ms);
-      }
+    const auto take = [&](std::size_t c,
+                          std::deque<std::unique_ptr<Pending>>::iterator it) {
+      queued_cost_ms_[c] = std::max(0.0, queued_cost_ms_[c] - (*it)->est.ms);
+      group.push_back(std::move(*it));
+      ++in_flight_;
+      return queues_[c].erase(it);
+    };
+    for (std::size_t c = 0; c < 3 && group.empty(); ++c) {
+      if (!queues_[c].empty()) take(c, queues_[c].begin());
     }
-    if (!first) return;  // this task's query was absorbed by a fused batch
-    ++in_flight_;
-    if (first->desc.kind == QueryKind::kBfs && opts_.enable_batching) {
+    if (group.empty()) return;  // this task's query joined a fused group
+    // Leased under the queue lock, so after every queued query's admission:
+    // a query never runs on an epoch older than the one it was admitted at.
+    snap = snaps_.acquire();
+    // Admission leased a snapshot, and epochs only advance.
+    GA_ASSERT(snap);
+    // BFS queries fuse only on a flat snapshot, the one layout the
+    // multi-source pass reads; on a chained or tiered view each seed runs
+    // alone.
+    const bool fuse = opts_.enable_batching && snap.view().flat();
+    const auto fusable = [&](const Pending& p) {
+      return fuse && p.desc.kind == QueryKind::kBfs &&
+             p.desc.seed < snap.view().num_vertices();
+    };
+    if (fusable(*group.front())) {
       for (std::size_t c = 0; c < 3; ++c) {
         auto& q = queues_[c];
-        for (auto it = q.begin();
-             it != q.end() && batch.size() + 1 < opts_.max_bfs_batch;) {
-          if ((*it)->desc.kind == QueryKind::kBfs) {
-            queued_cost_ms_[c] =
-                std::max(0.0, queued_cost_ms_[c] - (*it)->est.ms);
-            batch.push_back(std::move(*it));
-            it = q.erase(it);
-            ++in_flight_;
-          } else {
-            ++it;
-          }
+        auto it = q.begin();
+        while (it != q.end() && group.size() < kMaxBfsBatch) {
+          it = fusable(**it) ? take(c, it) : std::next(it);
         }
       }
     }
   }
-  if (batch.empty()) {
-    execute_single(*first);
-  } else {
-    batch.insert(batch.begin(), std::move(first));
-    execute_bfs_batch(batch);
+  std::vector<Pending*> live;
+  for (auto& p : group) {
+    if (leave_queue(*p)) live.push_back(p.get());
   }
+  if (live.size() > 1) {
+    run_fused(live, snap);
+    return;
+  }
+  for (Pending* p : live) finish(*p, run(p->desc, p->est, snap));
 }
 
-void QueryScheduler::execute_single(Pending& p) {
-  const double wait_ms = ms_since(p.submitted_at);
-  obs::Tracer& tracer = obs::Tracer::global();
-  if (tracer.active() && p.desc.trace.valid()) {
+bool QueryScheduler::leave_queue(Pending& p) {
+  p.wait_ms = ms_since(p.submitted_at);
+  if (p.desc.trace.valid()) {
     // Queue wait was measured outside any scope; attach it retroactively.
+    obs::Tracer& tracer = obs::Tracer::global();
     tracer.emit_interval(p.desc.trace, "serve.queue_wait",
-                         tracer.now_ms() - wait_ms, wait_ms);
+                         tracer.now_ms() - p.wait_ms, p.wait_ms);
   }
-  QueryResult r;
-  r.kind = p.desc.kind;
-  r.predicted_ms = p.est.ms;
-  r.wait_ms = wait_ms;
-  if (p.desc.deadline_ms > 0.0 && wait_ms > p.desc.deadline_ms) {
+  if (p.desc.deadline_ms > 0.0 && p.wait_ms > p.desc.deadline_ms) {
+    QueryResult r;
     r.status = QueryStatus::kDeadlineMiss;
+    r.kind = p.desc.kind;
+    r.predicted_ms = p.est.ms;
     finish(p, std::move(r));
-    return;
+    return false;
   }
-  SnapshotRef snap = snaps_.acquire();
-  if (!snap) {
-    r.status = QueryStatus::kNoSnapshot;
-    finish(p, std::move(r));
-    return;
-  }
+  return true;
+}
+
+QueryResult QueryScheduler::run(const QueryDesc& desc, const CostEstimate& est,
+                                const SnapshotRef& snap) {
+  QueryResult r;
   core::WallTimer timer;
   {
-    obs::ScopedSpan span("serve.kernel", p.desc.trace);
+    ServeSpan span(kKernelSpan, desc.trace);
     obs::AmbientScope ambient(span.context());
     try {
-      r = run_kernel(p.desc, snap);
+      r = run_kernel(desc, snap);
     } catch (const std::exception& e) {
       r.status = QueryStatus::kFailed;
       r.error = e.what();
     }
-    span.set_detail(query_kind_name(p.desc.kind));
+    span.set_detail(query_kind_name(desc.kind));
     span.set_status(status_code(r.status));
   }
-  r.kind = p.desc.kind;
+  r.kind = desc.kind;
   r.exec_ms = timer.millis();
-  r.predicted_ms = p.est.ms;
-  r.wait_ms = wait_ms;
+  r.predicted_ms = est.ms;
   r.epoch = snap.epoch();
   if (r.ok()) {
     // An incremental serve already fed observe_incremental inside
     // run_kernel; feeding its (much smaller) time into the batch EWMA
     // would poison the batch calibration.
-    if (!r.incremental) model_.observe(p.desc.kind, p.est.raw_ms, r.exec_ms);
-    if (p.desc.use_cache) {
-      obs::ScopedSpan span("serve.cache_write", p.desc.trace);
-      cache_.insert(QueryKey::of(p.desc, snap.epoch()),
+    if (!r.incremental) model_.observe(desc.kind, est.raw_ms, r.exec_ms);
+    if (desc.use_cache) {
+      ServeSpan span("serve.cache_write", desc.trace);
+      cache_.insert(QueryKey::of(desc, snap.epoch()),
                     std::make_shared<const QueryResult>(r));
     }
   }
-  finish(p, std::move(r));
+  return r;
 }
 
-void QueryScheduler::execute_bfs_batch(
-    std::vector<std::unique_ptr<Pending>>& batch) {
-  SnapshotRef snap = snaps_.acquire();
-  // Settle deadline expiries and invalid seeds individually; survivors
-  // ride the fused pass.
-  std::vector<Pending*> live;
+void QueryScheduler::run_fused(const std::vector<Pending*>& group,
+                               const SnapshotRef& snap) {
   std::vector<vid_t> seeds;
-  for (auto& p : batch) {
-    QueryResult r;
-    r.kind = QueryKind::kBfs;
-    r.predicted_ms = p->est.ms;
-    r.wait_ms = ms_since(p->submitted_at);
-    if (!snap) {
-      r.status = QueryStatus::kNoSnapshot;
-      finish(*p, std::move(r));
-      continue;
-    }
-    if (p->desc.deadline_ms > 0.0 && r.wait_ms > p->desc.deadline_ms) {
-      r.status = QueryStatus::kDeadlineMiss;
-      finish(*p, std::move(r));
-      continue;
-    }
-    if (p->desc.seed >= snap.view().num_vertices()) {
-      r.status = QueryStatus::kFailed;
-      r.error = "bfs seed out of range";
-      finish(*p, std::move(r));
-      continue;
-    }
-    live.push_back(p.get());
-    seeds.push_back(p->desc.seed);
-  }
-  if (live.empty()) return;
-
-  core::WallTimer timer;
+  seeds.reserve(group.size());
+  for (const Pending* p : group) seeds.push_back(p->desc.seed);
   QueryResult fail;
   bool failed = false;
-  const bool flat = snap.view().flat();
   engine::MultiSourceBfsResult ms;
-  std::vector<kernels::BfsResult> solo;
+  core::WallTimer timer;
   try {
-    if (flat) {
-      // Bit-parallel fused pass over the flat CSR.
-      ms = engine::multi_source_bfs(snap.graph(), seeds);
-    } else {
-      // Delta-backed view: answer each seed on the merged chain rather
-      // than forcing an O(|E|) fold for a batch of O(Δ)-fresh queries.
-      solo.reserve(seeds.size());
-      for (const vid_t s : seeds) solo.push_back(kernels::bfs(snap.view(), s));
-    }
+    // Bit-parallel fused pass; drain_one groups only on flat snapshots.
+    ms = engine::multi_source_bfs(snap.view().base(), seeds);
   } catch (const std::exception& e) {
     failed = true;
     fail.status = QueryStatus::kFailed;
     fail.error = e.what();
   }
   const double exec_ms = timer.millis();
-  const bool fused = live.size() > 1;
   {
     std::lock_guard<std::mutex> lk(qmu_);
-    if (fused) {
-      ++stats_.batches;
-      stats_.batched_queries += live.size();
-    }
+    ++stats_.batches;
+    stats_.batched_queries += group.size();
   }
   const vid_t n = snap.view().num_vertices();
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    Pending& p = *live[i];
-    QueryResult r;
-    if (failed) {
-      r = fail;
-    } else if (flat) {
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    Pending& p = *group[i];
+    QueryResult r = fail;
+    if (!failed) {
       r.status = QueryStatus::kOk;
       r.dist.resize(n);
       for (vid_t v = 0; v < n; ++v) r.dist[v] = ms.dist_of(v, i);
       r.reached = ms.reached[i];
-    } else {
-      r.status = QueryStatus::kOk;
-      r.dist = std::move(solo[i].dist);
-      r.reached = solo[i].reached;
+      set_bfs_footprint(r);
     }
-    if (r.status == QueryStatus::kOk) set_bfs_footprint(r);
     r.kind = QueryKind::kBfs;
-    r.batched = fused;
+    r.batched = true;
     r.exec_ms = exec_ms;
     r.predicted_ms = p.est.ms;
-    r.wait_ms = ms_since(p.submitted_at);
     r.epoch = snap.epoch();
-    if (r.ok()) {
-      // A fused pass measures k queries at once; per-query calibration
-      // only learns from solo executions, so skip observe() here.
-      if (p.desc.use_cache) {
-        cache_.insert(QueryKey::of(p.desc, snap.epoch()),
-                      std::make_shared<const QueryResult>(r));
-      }
+    if (p.desc.trace.valid()) {
+      // The pass ran outside every member's scope; give each traced member
+      // the interval retroactively, as its queue wait.
+      obs::Tracer& tracer = obs::Tracer::global();
+      tracer.emit_interval(p.desc.trace, kKernelSpan,
+                           tracer.now_ms() - exec_ms, exec_ms,
+                           obs::BoundResource::kNone, status_code(r.status),
+                           "bfs fused=" + std::to_string(group.size()));
+    }
+    // A fused pass measures k queries at once; per-query calibration only
+    // learns from solo executions, so skip observe() here.
+    if (r.ok() && p.desc.use_cache) {
+      cache_.insert(QueryKey::of(p.desc, snap.epoch()),
+                    std::make_shared<const QueryResult>(r));
     }
     finish(p, std::move(r));
   }
+}
+
+template <typename R, typename Refine, typename Batch>
+std::shared_ptr<const R> QueryScheduler::serve_warm(
+    WarmSlot<R>& slot, const QueryDesc& desc, const store::GraphView& v,
+    QueryResult& r, Refine refine, Batch batch) {
+  // Refinement self-falls-back (shape mismatch, deletes, churn,
+  // non-convergence), so the answer is always exact or within batch
+  // tolerance.
+  std::shared_ptr<const R> prev;
+  store::DeltaSummary merged;
+  if (desc.allow_incremental) {
+    std::lock_guard<std::mutex> lk(warm_mu_);
+    if (slot.result != nullptr && slot.epoch <= v.epoch() &&
+        merged_delta(slot.epoch, v.epoch(), merged)) {
+      prev = slot.result;
+    }
+  }
+  std::shared_ptr<const R> res;
+  if (prev != nullptr) {
+    const CostEstimate inc_est = model_.predict_incremental(
+        desc, v.num_vertices(), v.num_arcs(),
+        static_cast<vid_t>(merged.changed_vertices.size()));
+    const CostEstimate batch_est =
+        model_.predict(desc, v.num_vertices(), v.num_arcs());
+    if (inc_est.ms <= batch_est.ms) {
+      kernels::IncrementalOutcome out;
+      core::WallTimer timer;
+      res = std::make_shared<const R>(refine(*prev, merged, &out));
+      r.incremental = out.incremental;
+      // Observed unconditionally: when the refinement fell back, the timer
+      // covers warm attempt + internal batch recompute, so the EWMA learns
+      // the tier's true expected cost (including fallback risk) and stops
+      // picking a tier that keeps paying double.
+      model_.observe_incremental(desc.kind, inc_est.raw_ms, timer.millis());
+      std::lock_guard<std::mutex> lk(qmu_);
+      ++(out.incremental ? stats_.incremental_served
+                         : stats_.incremental_fallbacks);
+    }
+  }
+  if (res == nullptr) res = std::make_shared<const R>(batch());
+  {
+    std::lock_guard<std::mutex> lk(warm_mu_);
+    if (slot.result == nullptr || v.epoch() >= slot.epoch) {
+      slot.result = res;
+      slot.epoch = v.epoch();
+    }
+  }
+  return res;
 }
 
 QueryResult QueryScheduler::run_kernel(const QueryDesc& desc,
@@ -543,54 +582,16 @@ QueryResult QueryScheduler::run_kernel(const QueryDesc& desc,
       break;
     }
     case QueryKind::kPageRankTopK: {
-      // Tier choice: refine the previous epoch's ranks over the merged
-      // delta chain when warm state is fresh enough and the cost model
-      // predicts refinement beats a batch recompute. update_pagerank
-      // self-falls-back (shape mismatch, churn, non-convergence), so the
-      // answer is always within batch tolerance.
-      std::shared_ptr<const kernels::PageRankResult> prev;
-      store::DeltaSummary merged;
-      if (opts_.enable_incremental && desc.allow_incremental) {
-        std::lock_guard<std::mutex> lk(warm_mu_);
-        if (warm_pr_ != nullptr && warm_pr_epoch_ <= v.epoch() &&
-            merged_delta(warm_pr_epoch_, v.epoch(), merged)) {
-          prev = warm_pr_;
-        }
-      }
-      std::shared_ptr<const kernels::PageRankResult> res;
-      if (prev != nullptr) {
-        const CostEstimate inc_est = model_.predict_incremental(
-            desc, n, v.num_arcs(),
-            static_cast<vid_t>(merged.changed_vertices.size()));
-        const CostEstimate batch_est = model_.predict(desc, n, v.num_arcs());
-        if (inc_est.ms <= batch_est.ms) {
-          kernels::IncrementalOutcome out;
-          core::WallTimer inc_timer;
-          res = std::make_shared<const kernels::PageRankResult>(
-              kernels::update_pagerank(*prev, merged, v,
-                                       serving_pagerank_opts(),
-                                       serving_inc_opts(), &out));
-          r.incremental = out.incremental;
-          // Observed unconditionally: when the refinement fell back, the
-          // timer covers warm attempt + internal batch recompute, so the
-          // EWMA learns the tier's true expected cost (including fallback
-          // risk) and stops picking a tier that keeps paying double.
-          model_.observe_incremental(desc.kind, inc_est.raw_ms,
-                                     inc_timer.millis());
-          count_incremental(out.incremental);
-        }
-      }
-      if (res == nullptr) {
-        res = std::make_shared<const kernels::PageRankResult>(
-            kernels::pagerank(v, serving_pagerank_opts()));
-      }
-      {
-        std::lock_guard<std::mutex> lk(warm_mu_);
-        if (v.epoch() >= warm_pr_epoch_ || warm_pr_ == nullptr) {
-          warm_pr_ = res;
-          warm_pr_epoch_ = v.epoch();
-        }
-      }
+      const auto res = serve_warm(
+          warm_pr_, desc, v, r,
+          [&](const kernels::PageRankResult& prev,
+              const store::DeltaSummary& delta,
+              kernels::IncrementalOutcome* out) {
+            return kernels::update_pagerank(prev, delta, v,
+                                            serving_pagerank_opts(),
+                                            serving_inc_opts(), out);
+          },
+          [&] { return kernels::pagerank(v, serving_pagerank_opts()); });
       r.topk = kernels::pagerank_topk(*res, desc.k);
       break;
     }
@@ -609,45 +610,15 @@ QueryResult QueryScheduler::run_kernel(const QueryDesc& desc,
       break;
     }
     case QueryKind::kWcc: {
-      std::shared_ptr<const kernels::ComponentsResult> prev;
-      store::DeltaSummary merged;
-      if (opts_.enable_incremental && desc.allow_incremental) {
-        std::lock_guard<std::mutex> lk(warm_mu_);
-        if (warm_wcc_ != nullptr && warm_wcc_epoch_ <= v.epoch() &&
-            merged_delta(warm_wcc_epoch_, v.epoch(), merged)) {
-          prev = warm_wcc_;
-        }
-      }
-      std::shared_ptr<const kernels::ComponentsResult> res;
-      if (prev != nullptr) {
-        const CostEstimate inc_est = model_.predict_incremental(
-            desc, n, v.num_arcs(),
-            static_cast<vid_t>(merged.changed_vertices.size()));
-        const CostEstimate batch_est = model_.predict(desc, n, v.num_arcs());
-        if (inc_est.ms <= batch_est.ms) {
-          kernels::IncrementalOutcome out;
-          core::WallTimer inc_timer;
-          res = std::make_shared<const kernels::ComponentsResult>(
-              kernels::update_wcc(*prev, merged, v, serving_inc_opts(), &out));
-          r.incremental = out.incremental;
-          // Unconditional for the same reason as PageRank: fallbacks teach
-          // the EWMA the tier's true cost.
-          model_.observe_incremental(desc.kind, inc_est.raw_ms,
-                                     inc_timer.millis());
-          count_incremental(out.incremental);
-        }
-      }
-      if (res == nullptr) {
-        res = std::make_shared<const kernels::ComponentsResult>(
-            kernels::wcc_label_propagation(v));
-      }
-      {
-        std::lock_guard<std::mutex> lk(warm_mu_);
-        if (v.epoch() >= warm_wcc_epoch_ || warm_wcc_ == nullptr) {
-          warm_wcc_ = res;
-          warm_wcc_epoch_ = v.epoch();
-        }
-      }
+      const auto res = serve_warm(
+          warm_wcc_, desc, v, r,
+          [&](const kernels::ComponentsResult& prev,
+              const store::DeltaSummary& delta,
+              kernels::IncrementalOutcome* out) {
+            return kernels::update_wcc(prev, delta, v, serving_inc_opts(),
+                                       out);
+          },
+          [&] { return kernels::wcc_label_propagation(v); });
       r.num_components = res->num_components;
       r.largest_component = res->largest_size;
       break;
@@ -676,146 +647,32 @@ QueryResult QueryScheduler::run_kernel(const QueryDesc& desc,
   return r;
 }
 
-QueryResult QueryScheduler::execute_now(const QueryDesc& desc) {
+void QueryScheduler::settle(const QueryResult& r) {
   {
     std::lock_guard<std::mutex> lk(qmu_);
-    ++stats_.submitted;
-  }
-  const std::uint64_t epoch = snaps_.current_epoch();
-  if (epoch == 0) {
-    QueryResult r;
-    r.status = QueryStatus::kNoSnapshot;
-    r.kind = desc.kind;
-    {
-      std::lock_guard<std::mutex> lk(qmu_);
-      ++stats_.no_snapshot;
-    }
-    obs_count_query(r);
-    return r;
-  }
-  if (desc.use_cache) {
-    obs::ScopedSpan span("serve.cache_lookup", desc.trace);
-    if (auto hit = cache_.lookup(QueryKey::of(desc, epoch))) {
-      QueryResult r = *hit;
-      r.cache_hit = true;
-      r.wait_ms = 0.0;
-      r.exec_ms = 0.0;  // no kernel ran for this caller
-      span.set_detail("hit");
-      {
-        std::lock_guard<std::mutex> lk(qmu_);
-        ++stats_.cache_hits;
-      }
-      obs_count_query(r);
-      return r;
-    }
-    span.set_detail("miss");
-  }
-  // Admission: lease the snapshot, predict the Fig. 3 cost, gate on the
-  // deadline budget. The lease span nests under admission so the trace
-  // reads query → admission → snapshot epoch → kernel → engine steps.
-  SnapshotRef snap;
-  CostEstimate est;
-  QueryResult r;
-  {
-    obs::ScopedSpan adm("serve.admission", desc.trace);
-    {
-      obs::ScopedSpan lease("serve.snapshot_lease", adm.context());
-      snap = snaps_.acquire();
-      if (snap) {
-        lease.set_detail("epoch=" + std::to_string(snap.epoch()));
-      } else {
-        lease.set_status(core::StatusCode::kUnavailable);
-      }
-    }
-    if (!snap) {
-      adm.set_status(core::StatusCode::kUnavailable);
-      r.status = QueryStatus::kNoSnapshot;
-      r.kind = desc.kind;
-      obs_count_query(r);
-      return r;
-    }
-    est = model_.predict(desc, snap.view().num_vertices(),
-                         snap.view().num_arcs());
-    if (adm.live()) {
-      char detail[64];
-      std::snprintf(detail, sizeof(detail), "predicted_ms=%.3f", est.ms);
-      adm.set_detail(detail);
-    }
-    if (desc.deadline_ms > 0.0 && est.ms > desc.deadline_ms) {
-      adm.set_status(core::StatusCode::kDeadlineExceeded);
-      r.status = QueryStatus::kRejectedCost;
-      r.kind = desc.kind;
-      r.predicted_ms = est.ms;
-      r.epoch = snap.epoch();
-      {
-        std::lock_guard<std::mutex> lk(qmu_);
-        ++stats_.rejected_cost;
-      }
-      obs_count_query(r);
-      return r;
-    }
-  }
-  core::WallTimer timer;
-  {
-    obs::ScopedSpan span("serve.kernel", desc.trace);
-    obs::AmbientScope ambient(span.context());
-    try {
-      r = run_kernel(desc, snap);
-    } catch (const std::exception& e) {
-      r.status = QueryStatus::kFailed;
-      r.error = e.what();
-    }
-    span.set_detail(query_kind_name(desc.kind));
-    span.set_status(status_code(r.status));
-  }
-  r.kind = desc.kind;
-  r.exec_ms = timer.millis();
-  r.predicted_ms = est.ms;
-  r.epoch = snap.epoch();
-  {
-    std::lock_guard<std::mutex> lk(qmu_);
-    ++stats_.admitted;
-    if (r.ok()) {
-      ++stats_.completed;
+    if (r.cache_hit) {
+      ++stats_.cache_hits;
     } else {
-      ++stats_.failed;
-    }
-  }
-  if (r.ok()) {
-    if (!r.incremental) model_.observe(desc.kind, est.raw_ms, r.exec_ms);
-    if (desc.use_cache) {
-      obs::ScopedSpan span("serve.cache_write", desc.trace);
-      cache_.insert(QueryKey::of(desc, snap.epoch()),
-                    std::make_shared<const QueryResult>(r));
+      switch (r.status) {
+        case QueryStatus::kOk: ++stats_.completed; break;
+        case QueryStatus::kRejectedCost: ++stats_.rejected_cost; break;
+        case QueryStatus::kRejectedOverload: ++stats_.rejected_overload; break;
+        case QueryStatus::kRejectedBacklog: ++stats_.rejected_backlog; break;
+        case QueryStatus::kDeadlineMiss: ++stats_.deadline_misses; break;
+        case QueryStatus::kNoSnapshot: ++stats_.no_snapshot; break;
+        case QueryStatus::kFailed: ++stats_.failed; break;
+      }
     }
   }
   obs_count_query(r);
-  return r;
 }
 
 void QueryScheduler::finish(Pending& p, QueryResult&& r) {
-  const QueryStatus status = r.status;
+  r.wait_ms = p.wait_ms;
   // Account BEFORE resolving the future: a caller unblocked by get() must
   // already see this query reflected in stats(). in_flight_ drops after
   // set_value so drain() cannot return with an unresolved future.
-  {
-    std::lock_guard<std::mutex> lk(qmu_);
-    switch (status) {
-      case QueryStatus::kOk:
-        ++stats_.completed;
-        break;
-      case QueryStatus::kDeadlineMiss:
-        ++stats_.deadline_misses;
-        break;
-      case QueryStatus::kNoSnapshot:
-        ++stats_.no_snapshot;
-        break;
-      default:
-        ++stats_.failed;
-        break;
-    }
-  }
-  obs_count_query(r);
+  settle(r);
   p.promise.set_value(std::move(r));
   std::lock_guard<std::mutex> lk(qmu_);
   GA_ASSERT(in_flight_ >= 1);

@@ -4,16 +4,18 @@
 // the Fig. 3 bounding-resource prediction (ServingCostModel) gates every
 // submission, so a query whose predicted cost (or predicted queue wait)
 // exceeds its deadline budget is REJECTED with backpressure instead of
-// stalling the queue. Same-kernel batching fuses up to kMaxMultiSourceSeeds
-// concurrent BFS requests into one engine::multi_source_bfs pass, and every
-// completed result lands in the epoch-keyed ResultCache.
+// stalling the queue. Both entry points — submit() and execute_now() —
+// pass one admission front and execute through one run body; queued BFS
+// requests on a flat snapshot are fused into one engine::multi_source_bfs
+// pass, and every completed result lands in the epoch-keyed ResultCache.
 //
 // Incremental serving: each epoch publish delivers the store's
 // DeltaSummary through the snapshot listener. The scheduler keeps a
 // bounded, contiguous history of summaries plus the last computed
-// PageRank/WCC results, and for each new query lets the cost model choose
-// between three serving tiers — cached answer (delta-aware carry-forward
-// in ResultCache), incremental refinement of the warm result against the
+// PageRank/WCC results (one warm slot per kind, served by one warm-tier
+// routine), and for each new query lets the cost model choose between
+// three serving tiers — cached answer (delta-aware carry-forward in
+// ResultCache), incremental refinement of the warm result against the
 // merged delta chain (kernels::update_*), or batch recompute. Refinement
 // self-falls-back to batch when its preconditions fail (deletes for WCC,
 // churn/convergence for PageRank), so answers are always exact-or-
@@ -52,18 +54,9 @@ struct SchedulerOptions {
   unsigned workers = 4;
   /// Per-class pending cap; submissions beyond it get kRejectedBacklog.
   std::size_t max_queue_per_class = 256;
-  /// Fuse up to this many queued BFS queries into one multi-source pass.
-  std::size_t max_bfs_batch = 16;
+  /// Fuse queued BFS queries on a flat snapshot into one multi-source pass.
   bool enable_batching = true;
   std::size_t cache_capacity = 4096;
-  std::size_t cache_shards = 8;
-  /// Serve PageRank/WCC by refining the previous epoch's warm result
-  /// against the published DeltaSummary chain when the cost model predicts
-  /// refinement beats a batch recompute.
-  bool enable_incremental = true;
-  /// Delta summaries retained for warm-state catch-up; warm results older
-  /// than this many epochs fall back to batch recompute.
-  std::size_t max_delta_history = 32;
   /// Tests: queue submissions without executing until resume() — makes
   /// batching and priority order deterministic.
   bool start_paused = false;
@@ -100,8 +93,9 @@ class QueryScheduler {
   /// queries resolve when a worker completes (or expires) them.
   std::future<QueryResult> submit(const QueryDesc& desc);
 
-  /// Synchronous execution on the calling thread (cache + cost gate still
-  /// apply, queue wait does not). Benches use it for cold/hit probes.
+  /// Synchronous execution on the calling thread: the same admission front
+  /// (cache, cost gate) and run body as submit(), minus the queue and its
+  /// backlog and overload checks. Benches use it for cold/hit probes.
   QueryResult execute_now(const QueryDesc& desc);
 
   /// Blocks until every admitted query has resolved.
@@ -123,19 +117,49 @@ class QueryScheduler {
     std::promise<QueryResult> promise;
     CostEstimate est;
     std::chrono::steady_clock::time_point submitted_at;
+    double wait_ms = 0.0;  // set when the query leaves the queue
   };
 
-  /// Admission gate: returns nullopt when admitted, a terminal result
-  /// otherwise. Fills `est`.
-  std::optional<QueryResult> admission_check(const QueryDesc& desc,
-                                             CostEstimate& est);
-  void enqueue(std::unique_ptr<Pending> p);
-  /// Worker task body: pop + execute one query (or one fused batch).
+  /// Last result of one warm-tier kind and the store epoch it answers.
+  template <typename R>
+  struct WarmSlot {
+    std::shared_ptr<const R> result;
+    std::uint64_t epoch = 0;
+  };
+
+  /// The admission front both entry points share: epoch-0 check, cache
+  /// lookup, snapshot lease, cost prediction, deadline test — plus the
+  /// backlog and overload checks when the query is `queued`. Returns the
+  /// query's (already counted) result when it ends here; otherwise counts
+  /// the admission, fills `snap` and `est`, and returns nullopt.
+  std::optional<QueryResult> admit(const QueryDesc& desc, bool queued,
+                                   SnapshotRef& snap, CostEstimate& est);
+  /// Worker task body: pop one query (with every fusable BFS behind it on
+  /// a flat snapshot) and execute it.
   void drain_one();
-  void execute_single(Pending& p);
-  void execute_bfs_batch(std::vector<std::unique_ptr<Pending>>& batch);
+  /// Records a query's queue wait and settles an expired budget as a
+  /// deadline miss; false when the query was settled.
+  bool leave_queue(Pending& p);
+  /// The run body every query that executes alone goes through: kernel
+  /// span, run_kernel, result header, calibration, cache write.
+  QueryResult run(const QueryDesc& desc, const CostEstimate& est,
+                  const SnapshotRef& snap);
+  /// One bit-parallel pass answering 2..kMaxBfsBatch BFS queries on a
+  /// flat snapshot.
+  void run_fused(const std::vector<Pending*>& group, const SnapshotRef& snap);
   /// Runs the kernel for `desc` against `snap`, filling payload fields.
   QueryResult run_kernel(const QueryDesc& desc, const SnapshotRef& snap);
+  /// The warm tier of PageRank and WCC: refine `slot` over the merged
+  /// delta chain when it is fresh enough and the cost model predicts that
+  /// beats `batch()`, else recompute; then advance the slot.
+  template <typename R, typename Refine, typename Batch>
+  std::shared_ptr<const R> serve_warm(WarmSlot<R>& slot, const QueryDesc& desc,
+                                      const store::GraphView& v,
+                                      QueryResult& r, Refine refine,
+                                      Batch batch);
+  /// Counts a query's outcome in stats and the metrics registry.
+  void settle(const QueryResult& r);
+  /// Async completion: settle, resolve the promise, leave in_flight_.
   void finish(Pending& p, QueryResult&& r);
   /// Epoch listener body: maintains the contiguous delta history + warm
   /// incremental state, then routes the delta to the cache's delta-aware
@@ -146,7 +170,6 @@ class QueryScheduler {
   /// `from` (warm state too stale → batch). warm_mu_ must be held.
   bool merged_delta(std::uint64_t from, std::uint64_t to,
                     store::DeltaSummary& out) const;
-  void count_incremental(bool served);
   static core::TaskPriority pool_priority(QueryClass c) {
     return static_cast<core::TaskPriority>(c);
   }
@@ -173,10 +196,8 @@ class QueryScheduler {
   std::uint64_t last_store_epoch_ = 0;
   bool saw_publish_ = false;
   std::deque<std::shared_ptr<const store::DeltaSummary>> deltas_;
-  std::shared_ptr<const kernels::PageRankResult> warm_pr_;
-  std::uint64_t warm_pr_epoch_ = 0;
-  std::shared_ptr<const kernels::ComponentsResult> warm_wcc_;
-  std::uint64_t warm_wcc_epoch_ = 0;
+  WarmSlot<kernels::PageRankResult> warm_pr_;
+  WarmSlot<kernels::ComponentsResult> warm_wcc_;
 
   // Declared last: destroyed first, so worker tasks (which borrow every
   // member above) are joined before any state they touch goes away.

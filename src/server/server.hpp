@@ -72,7 +72,8 @@ class AnalyticsServer {
 
  private:
   // Scheduler declared after the manager it borrows; destroyed first, so
-  // every lease drains before the snapshots go away.
+  // it drains its queries and unhooks its epoch listener while the
+  // manager still exists.
   SnapshotManager snapshots_;
   QueryScheduler scheduler_;
 };

@@ -1,26 +1,9 @@
 #include "server/snapshot.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <unordered_set>
 
 namespace ga::server {
-
-void SnapshotRef::release() {
-  if (snap_ == nullptr) return;
-  mgr_->release(snap_);
-  mgr_ = nullptr;
-  snap_ = nullptr;
-}
-
-SnapshotManager::~SnapshotManager() {
-  std::lock_guard<std::mutex> lk(mu_);
-  // Leases outlive queries, queries are drained before the server tears
-  // down; a live lease here would become a dangling pointer.
-  GA_ASSERT(retired_.empty());
-  GA_ASSERT(current_ == nullptr ||
-            current_->readers_.load(std::memory_order_relaxed) == 0);
-}
 
 std::uint64_t SnapshotManager::publish(store::GraphView v) {
   GA_CHECK(v.valid(), "SnapshotManager::publish: empty view");
@@ -34,11 +17,10 @@ std::uint64_t SnapshotManager::publish(store::GraphView v) {
   {
     std::lock_guard<std::mutex> lk(mu_);
     epoch = epoch_.load(std::memory_order_relaxed) + 1;
-    auto snap = std::make_unique<Snapshot>(epoch, std::move(v));
-    if (current_ != nullptr) retired_.push_back(std::move(current_));
-    current_ = std::move(snap);
+    if (current_ != nullptr) retired_.emplace_back(current_);
+    current_ = std::make_shared<const Snapshot>(epoch, std::move(v));
     epoch_.store(epoch, std::memory_order_release);
-    reclaim_locked();
+    prune_locked();
     listener = listener_;
   }
   if (listener) listener(epoch, published);
@@ -64,28 +46,15 @@ SnapshotRef SnapshotManager::acquire() {
   }
   std::lock_guard<std::mutex> lk(mu_);
   if (current_ == nullptr) return {};
-  current_->readers_.fetch_add(1, std::memory_order_relaxed);
   ++acquires_;
-  return SnapshotRef(this, current_.get());
+  return SnapshotRef(current_);
 }
 
-void SnapshotManager::release(const Snapshot* snap) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto* s = const_cast<Snapshot*>(snap);
-  const std::uint64_t before = s->readers_.fetch_sub(1, std::memory_order_relaxed);
-  GA_ASSERT(before >= 1);
-  // Only a retired snapshot can become reclaimable here; the current one
-  // stays alive regardless of its lease count.
-  if (before == 1 && s != current_.get()) reclaim_locked();
-}
-
-void SnapshotManager::reclaim_locked() {
-  const auto dead = [](const std::unique_ptr<Snapshot>& s) {
-    return s->readers_.load(std::memory_order_relaxed) == 0;
-  };
+void SnapshotManager::prune_locked() const {
   const std::size_t n = retired_.size();
-  retired_.erase(std::remove_if(retired_.begin(), retired_.end(), dead),
-                 retired_.end());
+  std::erase_if(retired_, [](const std::weak_ptr<const Snapshot>& s) {
+    return s.expired();
+  });
   reclaimed_ += n - retired_.size();
 }
 
@@ -95,12 +64,19 @@ void SnapshotManager::set_epoch_listener(EpochListener fn) {
 }
 
 SnapshotManagerStats SnapshotManager::stats() const {
+  // Retired epochs pinned while they are accounted; a lease that drops
+  // meanwhile leaves its snapshot to be freed here, after the lock.
+  std::vector<std::shared_ptr<const Snapshot>> pinned;
   std::lock_guard<std::mutex> lk(mu_);
+  prune_locked();
+  for (const auto& w : retired_) {
+    if (auto s = w.lock()) pinned.push_back(std::move(s));
+  }
   SnapshotManagerStats st;
   st.published = epoch_.load(std::memory_order_relaxed);
   st.reclaimed = reclaimed_;
   st.acquires = acquires_;
-  st.retired_live = retired_.size();
+  st.retired_live = pinned.size();
   st.current_epoch = st.published;
 
   // Unique bytes across live epochs: delta epochs share their base CSR
@@ -115,7 +91,7 @@ SnapshotManagerStats SnapshotManager::stats() const {
     }
   };
   if (current_ != nullptr) account(*current_);
-  for (const auto& s : retired_) account(*s);
+  for (const auto& s : pinned) account(*s);
   st.live_bytes = live;
   if (current_ != nullptr) {
     const store::GraphView& v = current_->view();

@@ -3,10 +3,11 @@
 // frozen CSR while the update stream keeps mutating the persistent graph.
 // A writer publishes a new immutable CSRGraph under the next epoch; readers
 // lease the current snapshot through RAII SnapshotRef handles and keep
-// reading it unperturbed while newer epochs appear. Reclamation is
-// epoch-based: a superseded snapshot is moved to the retired list and its
-// memory is freed only when the last outstanding lease drains — readers
-// never block writers, writers never invalidate a running query.
+// reading it unperturbed while newer epochs appear. A lease is shared
+// ownership of its snapshot, as a GraphView is of its arrays: a superseded
+// snapshot is freed when its last lease drops, so a lease can never
+// outlive the data it reads — readers never block writers, writers never
+// invalidate a running query.
 //
 // Concurrency contract: publish/acquire take a mutex for pointer motion
 // only (no graph copies happen under the lock); graph reads are lock-free
@@ -26,8 +27,6 @@
 
 namespace ga::server {
 
-class SnapshotManager;
-
 /// One immutable published graph version. Since the delta-chain refactor
 /// the payload is a store::GraphView — usually an O(Δ) delta overlay over
 /// a base CSR shared with earlier epochs, occasionally a flat CSR when the
@@ -45,54 +44,37 @@ class Snapshot {
   const graph::CSRGraph& graph() const { return view_.csr(); }
 
  private:
-  friend class SnapshotManager;
-
   std::uint64_t epoch_ = 0;
   store::GraphView view_;
-  std::atomic<std::uint64_t> readers_{0};  // outstanding SnapshotRef leases
 };
 
-/// RAII reader lease on one snapshot. Movable, not copyable. The referenced
-/// snapshot (and its epoch's CSR arrays) outlives every live ref even if
-/// arbitrarily many newer epochs are published meanwhile.
+/// RAII reader lease on one snapshot. Movable, not copyable. The lease
+/// co-owns its snapshot, so the snapshot (and its epoch's CSR arrays)
+/// outlives every live ref even if arbitrarily many newer epochs are
+/// published meanwhile.
 class SnapshotRef {
  public:
   SnapshotRef() = default;
-  SnapshotRef(SnapshotRef&& other) noexcept
-      : mgr_(other.mgr_), snap_(other.snap_) {
-    other.mgr_ = nullptr;
-    other.snap_ = nullptr;
-  }
-  SnapshotRef& operator=(SnapshotRef&& other) noexcept {
-    if (this != &other) {
-      release();
-      mgr_ = other.mgr_;
-      snap_ = other.snap_;
-      other.mgr_ = nullptr;
-      other.snap_ = nullptr;
-    }
-    return *this;
-  }
+  SnapshotRef(SnapshotRef&&) noexcept = default;
+  SnapshotRef& operator=(SnapshotRef&&) noexcept = default;
   SnapshotRef(const SnapshotRef&) = delete;
   SnapshotRef& operator=(const SnapshotRef&) = delete;
-  ~SnapshotRef() { release(); }
 
   explicit operator bool() const { return snap_ != nullptr; }
-  const Snapshot* operator->() const { return snap_; }
+  const Snapshot* operator->() const { return snap_.get(); }
   const Snapshot& operator*() const { return *snap_; }
   const store::GraphView& view() const { return snap_->view(); }
   const graph::CSRGraph& graph() const { return snap_->graph(); }
   std::uint64_t epoch() const { return snap_->epoch(); }
 
-  void release();
+  void release() { snap_.reset(); }
 
  private:
   friend class SnapshotManager;
-  SnapshotRef(SnapshotManager* mgr, const Snapshot* snap)
-      : mgr_(mgr), snap_(snap) {}
+  explicit SnapshotRef(std::shared_ptr<const Snapshot> snap)
+      : snap_(std::move(snap)) {}
 
-  SnapshotManager* mgr_ = nullptr;
-  const Snapshot* snap_ = nullptr;
+  std::shared_ptr<const Snapshot> snap_;
 };
 
 struct SnapshotManagerStats {
@@ -114,9 +96,6 @@ struct SnapshotManagerStats {
 class SnapshotManager {
  public:
   SnapshotManager() = default;
-  /// All leases must be released before destruction (callers drain their
-  /// schedulers first); outstanding refs at destruction abort.
-  ~SnapshotManager();
 
   SnapshotManager(const SnapshotManager&) = delete;
   SnapshotManager& operator=(const SnapshotManager&) = delete;
@@ -124,7 +103,7 @@ class SnapshotManager {
   /// Publishes `v` as the next epoch and returns that epoch (1-based; epoch
   /// 0 means "nothing published yet"). O(Δ): a view is a couple of
   /// shared_ptrs, no graph data moves. The previous snapshot is retired and
-  /// reclaimed once its last lease drains. The epoch listener (if any) runs
+  /// freed once its last lease drops. The epoch listener (if any) runs
   /// after the swap, outside the lock — the result cache hooks it to drop
   /// stale entries.
   std::uint64_t publish(store::GraphView v);
@@ -156,16 +135,16 @@ class SnapshotManager {
   engine::CounterGroup counters() const;
 
  private:
-  friend class SnapshotRef;
-  void release(const Snapshot* snap);
-  /// Frees retired snapshots with no outstanding leases (mu_ held).
-  void reclaim_locked();
+  /// Drops the retired epochs whose last lease is gone, counting them as
+  /// reclaimed (mu_ held).
+  void prune_locked() const;
 
   mutable std::mutex mu_;
-  std::unique_ptr<Snapshot> current_;
-  std::vector<std::unique_ptr<Snapshot>> retired_;
+  std::shared_ptr<const Snapshot> current_;
+  /// Superseded epochs; expired once no lease holds them.
+  mutable std::vector<std::weak_ptr<const Snapshot>> retired_;
   std::atomic<std::uint64_t> epoch_{0};
-  std::uint64_t reclaimed_ = 0;
+  mutable std::uint64_t reclaimed_ = 0;
   std::uint64_t acquires_ = 0;
   EpochListener listener_;
 };

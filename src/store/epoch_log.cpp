@@ -1,5 +1,6 @@
 #include "store/epoch_log.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -9,6 +10,7 @@
 #include "obs/metrics.hpp"
 #include "resilience/fault_injection.hpp"
 #include "store/delta_summary.hpp"
+#include "store/recovery.hpp"
 #include "store/versioned_store.hpp"
 
 #ifndef _WIN32
@@ -165,19 +167,40 @@ struct BodyReader {
   }
 
   template <typename T>
-  std::vector<T> get_vec() {
+  std::uint64_t get_count() {
     const auto count = get<std::uint64_t>();
     GA_CHECK(count <= left / sizeof(T),
              "epoch log: vector past checkpoint body in " + dir);
-    std::vector<T> v(count);
-    if (count > 0) read(v.data(), count * sizeof(T));
+    return count;
+  }
+
+  template <typename T>
+  std::vector<T> get_vec() {
+    std::vector<T> v(get_count<T>());
+    if (!v.empty()) read(v.data(), v.size() * sizeof(T));
     return v;
+  }
+
+  // Streams one array through a fixed buffer into the CRC and returns its
+  // element count: the check that needs no image.
+  template <typename T>
+  std::uint64_t skip_vec() {
+    const std::uint64_t count = get_count<T>();
+    char buf[1 << 16];
+    for (std::uint64_t bytes = count * sizeof(T); bytes > 0;) {
+      const std::uint64_t k = std::min<std::uint64_t>(bytes, sizeof(buf));
+      read(buf, k);
+      bytes -= k;
+    }
+    return count;
   }
 };
 
-}  // namespace
-
-bool load_checkpoint(const std::string& dir, CheckpointImage* out) {
+// Reads <dir>/checkpoint.gsc: header checks, then `body_fn(BodyReader&)`,
+// then the trailing-bytes and CRC checks. Returns false when absent.
+template <typename Fn>
+bool read_checkpoint(const std::string& dir, std::uint64_t* epoch_out,
+                     Fn body_fn) {
   const std::string path = EpochLog::checkpoint_path(dir);
   std::ifstream is(path, std::ios::binary);
   if (!is.good()) return false;
@@ -202,20 +225,54 @@ bool load_checkpoint(const std::string& dir, CheckpointImage* out) {
            "epoch log: checkpoint length field exceeds file in " + dir);
 
   BodyReader body{is, nbytes, header_crc(epoch, nbytes), dir};
-  const bool directed = body.get<std::uint8_t>() != 0;
-  auto offsets = body.get_vec<eid_t>();
-  auto targets = body.get_vec<vid_t>();
-  auto weights = body.get_vec<float>();
-  auto props = body.get_vec<PropVec::value_type>();
+  body_fn(body);
   GA_CHECK(body.left == 0, "epoch log: trailing bytes in checkpoint body");
   GA_CHECK(body.crc == crc, "epoch log: checkpoint CRC mismatch in " + dir);
+  *epoch_out = epoch;
+  return true;
+}
 
-  out->epoch = epoch;
+}  // namespace
+
+bool load_checkpoint(const std::string& dir, CheckpointImage* out) {
+  bool directed = false;
+  std::vector<eid_t> offsets;
+  std::vector<vid_t> targets;
+  std::vector<float> weights;
+  PropVec props;
+  if (!read_checkpoint(dir, &out->epoch, [&](BodyReader& body) {
+        directed = body.get<std::uint8_t>() != 0;
+        offsets = body.get_vec<eid_t>();
+        targets = body.get_vec<vid_t>();
+        weights = body.get_vec<float>();
+        props = body.get_vec<PropVec::value_type>();
+      })) {
+    return false;
+  }
   out->base = std::make_shared<const graph::CSRGraph>(
       std::move(offsets), std::move(targets), std::move(weights), directed);
   out->props = props.empty()
                    ? nullptr
                    : std::make_shared<const PropVec>(std::move(props));
+  return true;
+}
+
+bool load_checkpoint(const std::string& dir, EpochLogInfo* info) {
+  std::uint64_t offsets = 0, arcs = 0;
+  if (!read_checkpoint(dir, &info->checkpoint_epoch, [&](BodyReader& body) {
+        body.get<std::uint8_t>();  // directed
+        offsets = body.skip_vec<eid_t>();
+        arcs = body.skip_vec<vid_t>();
+        body.skip_vec<float>();
+        body.skip_vec<PropVec::value_type>();
+      })) {
+    return false;
+  }
+  info->has_checkpoint = true;
+  info->checkpoint_bytes =
+      resilience::file_size(EpochLog::checkpoint_path(dir));
+  info->checkpoint_vertices = static_cast<vid_t>(offsets > 0 ? offsets - 1 : 0);
+  info->checkpoint_arcs = static_cast<eid_t>(arcs);
   return true;
 }
 
@@ -237,11 +294,11 @@ EpochLog::EpochLog(EpochLogOptions opts) : opts_(std::move(opts)) {
   // tail. A torn tail is cut off now — those bytes were never
   // acknowledged, and appending after them would bury new records behind
   // an unscannable frame.
-  CheckpointImage image;
-  if (load_checkpoint(opts_.dir, &image)) {
+  EpochLogInfo info;
+  if (load_checkpoint(opts_.dir, &info)) {
     has_checkpoint_ = true;
-    stats_.checkpoint_epoch = image.epoch;
-    stats_.last_epoch = image.epoch;
+    stats_.checkpoint_epoch = info.checkpoint_epoch;
+    stats_.last_epoch = info.checkpoint_epoch;
   }
   const auto scan = resilience::scan_records(log_path(opts_.dir));
   GA_CHECK(scan.corrupt_records == 0,

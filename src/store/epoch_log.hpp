@@ -42,6 +42,7 @@ namespace ga::store {
 
 class VersionedGraphStore;
 struct DeltaSummary;
+struct EpochLogInfo;
 
 /// Deserialized checkpoint: the flat base image recovery resumes from.
 struct CheckpointImage {
@@ -53,6 +54,10 @@ struct CheckpointImage {
 /// Load and CRC-verify <dir>/checkpoint.gsc. Returns false when absent;
 /// throws ga::Error on a damaged image (magic/CRC/bounds).
 bool load_checkpoint(const std::string& dir, CheckpointImage* out);
+/// The same checks without building the image: the body streams through a
+/// fixed buffer into the CRC, and `info` receives the checkpoint's epoch,
+/// file size, vertex and arc counts and has_checkpoint.
+bool load_checkpoint(const std::string& dir, EpochLogInfo* info);
 
 /// Payload codec for one epoch record: [u32 batch_len][batch][summary].
 /// The summary is logged verbatim so recovery can cross-check the replayed

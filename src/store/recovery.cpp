@@ -150,15 +150,7 @@ std::uint64_t view_digest(const GraphView& view) {
 
 EpochLogInfo inspect_epoch_log(const std::string& dir) {
   EpochLogInfo info;
-  CheckpointImage image;
-  if (load_checkpoint(dir, &image)) {
-    info.has_checkpoint = true;
-    info.checkpoint_epoch = image.epoch;
-    info.checkpoint_bytes =
-        resilience::file_size(EpochLog::checkpoint_path(dir));
-    info.checkpoint_vertices = image.base->num_vertices();
-    info.checkpoint_arcs = image.base->num_arcs();
-  }
+  load_checkpoint(dir, &info);
   const std::string log = EpochLog::log_path(dir);
   if (fs::exists(log)) {
     info.log_bytes = resilience::file_size(log);

@@ -685,16 +685,28 @@ TEST(Checkpoint, EveryFlippedOrTruncatedByteFailsClosed) {
       write_file(path, bad.data(), bad.size());
       EXPECT_THROW(load_checkpoint(dir, &img), Error)
           << "byte " << i << " mask " << int{mask};
+      EXPECT_THROW(EpochLog({.dir = dir}), Error)
+          << "byte " << i << " mask " << int{mask};
+      EXPECT_THROW(inspect_epoch_log(dir), Error)
+          << "byte " << i << " mask " << int{mask};
     }
   }
   for (std::size_t len = 0; len < good.size(); ++len) {
     write_file(path, good.data(), len);
     EXPECT_THROW(load_checkpoint(dir, &img), Error) << "length " << len;
+    EXPECT_THROW(EpochLog({.dir = dir}), Error) << "length " << len;
+    EXPECT_THROW(inspect_epoch_log(dir), Error) << "length " << len;
   }
 
   write_file(path, good.data(), good.size());
   ASSERT_TRUE(load_checkpoint(dir, &img));
   EXPECT_EQ(img.epoch, 1u);
+  const EpochLogInfo info = inspect_epoch_log(dir);
+  EXPECT_TRUE(info.has_checkpoint);
+  EXPECT_EQ(info.checkpoint_epoch, img.epoch);
+  EXPECT_EQ(info.checkpoint_vertices, img.base->num_vertices());
+  EXPECT_EQ(info.checkpoint_arcs, img.base->num_arcs());
+  EXPECT_EQ(EpochLog({.dir = dir}).stats().checkpoint_epoch, img.epoch);
   GraphView loaded(img.base, {}, img.props, img.epoch, img.base->num_arcs());
   EXPECT_EQ(view_digest(loaded), view_digest(view));
   fs::remove_all(dir);

@@ -8,6 +8,9 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,7 +21,9 @@
 #include "kernels/connected_components.hpp"
 #include "kernels/jaccard.hpp"
 #include "kernels/pagerank.hpp"
+#include "obs/trace.hpp"
 #include "server/server.hpp"
+#include "store/versioned_store.hpp"
 #include "streaming/trigger.hpp"
 
 namespace ga::server {
@@ -30,6 +35,30 @@ graph::CSRGraph test_graph(std::uint64_t seed = 1) {
   p.edge_factor = 8;
   p.seed = seed;
   return graph::make_rmat(p);
+}
+
+store::CompactionPolicy no_compact() {
+  store::CompactionPolicy p;
+  p.auto_compact = false;
+  return p;
+}
+
+/// Applies `count` inserts between consecutive vertices from `first` on,
+/// leaving the store's view one delta layer deeper.
+void apply_inserts(store::VersionedGraphStore& st, vid_t first, vid_t count) {
+  store::DeltaBatch b;
+  for (vid_t u = first; u < first + count; ++u) b.insert_edge(u, u + 1);
+  st.apply(b);
+}
+
+/// Every scheduled query ends in exactly one outcome counter, and every
+/// admitted one in exactly one execution outcome.
+void expect_ledger_balances(const SchedulerStats& st) {
+  EXPECT_EQ(st.submitted, st.cache_hits + st.rejected_cost +
+                              st.rejected_overload + st.rejected_backlog +
+                              st.no_snapshot + st.completed + st.failed +
+                              st.deadline_misses);
+  EXPECT_EQ(st.admitted, st.completed + st.failed + st.deadline_misses);
 }
 
 // ---------------------------------------------------------------------------
@@ -510,7 +539,6 @@ TEST(Batching, PausedQueueFusesBfsSeedsIntoOnePass) {
   SchedulerOptions o;
   o.workers = 1;
   o.start_paused = true;
-  o.max_bfs_batch = 16;
   QueryScheduler sched(mgr, o);
   std::vector<std::future<QueryResult>> futs;
   const std::vector<vid_t> seeds = {1, 2, 3, 4, 5, 6, 7, 8};
@@ -558,6 +586,327 @@ TEST(Batching, DisabledBatchingRunsEachQueryAlone) {
     EXPECT_FALSE(r.batched);
   }
   EXPECT_EQ(sched.stats().batches, 0u);
+}
+
+// The fused pass reads a flat CSR. On a chained view every seed runs alone,
+// so none of them may be reported (or counted) as fused.
+TEST(Batching, ChainedViewRunsEachSeedAlone) {
+  store::VersionedGraphStore st(test_graph(4), no_compact());
+  apply_inserts(st, 0, 8);
+  const store::GraphView view = st.view();
+  ASSERT_FALSE(view.flat());
+  SnapshotManager mgr;
+  mgr.publish(view);
+  SchedulerOptions o;
+  o.workers = 1;
+  o.start_paused = true;
+  QueryScheduler sched(mgr, o);
+  std::vector<std::future<QueryResult>> futs;
+  const std::vector<vid_t> seeds = {1, 2, 3, 4, 5, 6, 7, 8};
+  for (const vid_t s : seeds) {
+    QueryDesc q;
+    q.kind = QueryKind::kBfs;
+    q.seed = s;
+    q.use_cache = false;
+    futs.push_back(sched.submit(q));
+  }
+  sched.resume();
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    const QueryResult r = futs[i].get();
+    ASSERT_TRUE(r.ok()) << query_status_name(r.status);
+    EXPECT_FALSE(r.batched);
+    EXPECT_EQ(r.dist, kernels::bfs(view, seeds[i]).dist) << "seed " << seeds[i];
+  }
+  EXPECT_EQ(sched.stats().batches, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// One query path: both entry points share admission, execution and accounting
+
+TEST(SchedulerLedger, BalancesOnFlatSnapshot) {
+  SnapshotManager mgr;
+  SchedulerOptions o;
+  o.workers = 1;
+  o.max_queue_per_class = 6;
+  o.start_paused = true;
+  QueryScheduler sched(mgr, o);
+  QueryDesc bfs;
+  bfs.kind = QueryKind::kBfs;
+  EXPECT_EQ(sched.submit(bfs).get().status, QueryStatus::kNoSnapshot);
+  EXPECT_EQ(sched.execute_now(bfs).status, QueryStatus::kNoSnapshot);
+  mgr.publish(test_graph(4));
+
+  // Six queued queries fill the standard class: four BFS seeds for one
+  // fused pass, a BFS whose budget expires while paused, and a WCC.
+  std::vector<std::future<QueryResult>> futs;
+  for (vid_t s = 1; s <= 4; ++s) {
+    bfs.seed = s;
+    futs.push_back(sched.submit(bfs));
+  }
+  QueryDesc late = bfs;
+  late.seed = 9;
+  late.deadline_ms = 5.0;
+  futs.push_back(sched.submit(late));
+  QueryDesc wcc;
+  wcc.kind = QueryKind::kWcc;
+  futs.push_back(sched.submit(wcc));
+  EXPECT_EQ(sched.submit(wcc).get().status, QueryStatus::kRejectedBacklog);
+  QueryDesc pr;
+  pr.kind = QueryKind::kPageRankTopK;
+  pr.klass = QueryClass::kInteractive;
+  pr.deadline_ms = 1e-7;
+  EXPECT_EQ(sched.submit(pr).get().status, QueryStatus::kRejectedCost);
+  EXPECT_EQ(sched.execute_now(pr).status, QueryStatus::kRejectedCost);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  sched.resume();
+  for (std::size_t i = 0; i < futs.size(); ++i) {
+    const QueryResult r = futs[i].get();
+    if (i < 4) {
+      ASSERT_TRUE(r.ok()) << query_status_name(r.status);
+      EXPECT_TRUE(r.batched);
+    } else if (i == 4) {
+      EXPECT_EQ(r.status, QueryStatus::kDeadlineMiss);
+    } else {
+      EXPECT_TRUE(r.ok()) << query_status_name(r.status);
+    }
+  }
+  sched.drain();
+
+  bfs.seed = 1;
+  EXPECT_TRUE(sched.submit(bfs).get().cache_hit);
+  EXPECT_TRUE(sched.execute_now(bfs).cache_hit);
+  EXPECT_TRUE(sched.execute_now(wcc).cache_hit);
+  QueryDesc bad = bfs;
+  bad.seed = 100000;
+  EXPECT_EQ(sched.submit(bad).get().status, QueryStatus::kFailed);
+  EXPECT_EQ(sched.execute_now(bad).status, QueryStatus::kFailed);
+  QueryDesc jac;
+  jac.kind = QueryKind::kJaccardNeighbors;
+  jac.seed = 2;
+  EXPECT_TRUE(sched.execute_now(jac).ok());
+  sched.drain();
+
+  const SchedulerStats st = sched.stats();
+  EXPECT_EQ(st.submitted, 17u);
+  EXPECT_EQ(st.no_snapshot, 2u);
+  EXPECT_EQ(st.rejected_backlog, 1u);
+  EXPECT_EQ(st.rejected_cost, 2u);
+  EXPECT_EQ(st.deadline_misses, 1u);
+  EXPECT_EQ(st.cache_hits, 3u);
+  EXPECT_EQ(st.failed, 2u);
+  EXPECT_EQ(st.completed, 6u);
+  EXPECT_EQ(st.batches, 1u);
+  EXPECT_EQ(st.batched_queries, 4u);
+  expect_ledger_balances(st);
+}
+
+TEST(SchedulerLedger, BalancesOnChainedSnapshotWithWarmTiers) {
+  store::VersionedGraphStore store(test_graph(4), no_compact());
+  apply_inserts(store, 0, 8);
+  SnapshotManager mgr;
+  mgr.publish(store.view());
+  ASSERT_FALSE(store.view().flat());
+  SchedulerOptions o;
+  o.workers = 1;
+  o.start_paused = true;
+  QueryScheduler sched(mgr, o);
+
+  // Eight queued BFS seeds on a chained view, plus cold PageRank and WCC
+  // runs that leave warm results for the next epochs.
+  std::vector<std::future<QueryResult>> futs;
+  for (vid_t s = 1; s <= 8; ++s) {
+    QueryDesc q;
+    q.kind = QueryKind::kBfs;
+    q.seed = s;
+    futs.push_back(sched.submit(q));
+  }
+  QueryDesc pr;
+  pr.kind = QueryKind::kPageRankTopK;
+  QueryDesc wcc;
+  wcc.kind = QueryKind::kWcc;
+  futs.push_back(sched.submit(pr));
+  futs.push_back(sched.submit(wcc));
+  sched.resume();
+  for (auto& f : futs) EXPECT_TRUE(f.get().ok());
+  sched.drain();
+
+  // Two insert-only epochs: one served through each entry point, then
+  // cache hits through both.
+  apply_inserts(store, 20, 4);
+  mgr.publish(store.view());
+  EXPECT_TRUE(sched.submit(pr).get().ok());
+  EXPECT_TRUE(sched.submit(wcc).get().ok());
+  apply_inserts(store, 40, 4);
+  mgr.publish(store.view());
+  EXPECT_TRUE(sched.execute_now(pr).ok());
+  EXPECT_TRUE(sched.execute_now(wcc).ok());
+  EXPECT_TRUE(sched.submit(pr).get().cache_hit);
+  EXPECT_TRUE(sched.execute_now(wcc).cache_hit);
+  sched.drain();
+
+  const SchedulerStats st = sched.stats();
+  EXPECT_EQ(st.submitted, 16u);
+  EXPECT_EQ(st.cache_hits, 2u);
+  EXPECT_EQ(st.completed, 14u);
+  EXPECT_GE(st.incremental_served + st.incremental_fallbacks, 1u);
+  expect_ledger_balances(st);
+}
+
+QueryResult served_by(const store::GraphView& view, const QueryDesc& q,
+                      bool sync) {
+  AnalyticsServer server({.workers = 1});
+  server.publish(view);
+  return sync ? server.execute_now(q) : server.submit(q).get();
+}
+
+TEST(EntryPoints, SubmitAndExecuteNowGiveIdenticalPayloads) {
+  const graph::CSRGraph g = test_graph(6);
+  store::VersionedGraphStore chained(g, no_compact());
+  apply_inserts(chained, 0, 16);
+  store::CompactionPolicy tier_policy = no_compact();
+  tier_policy.tiered = true;
+  tier_policy.tier.budget_bytes = g.num_arcs();  // ~1/4 of the flat CSR
+  store::VersionedGraphStore tiered(g, tier_policy);
+  ASSERT_TRUE(tiered.view().tiered());
+  ASSERT_FALSE(chained.view().flat());
+  const std::pair<const char*, store::GraphView> views[] = {
+      {"flat", store::GraphView::of(graph::CSRGraph(g))},
+      {"chained", chained.view()},
+      {"tiered", tiered.view()}};
+
+  std::vector<QueryDesc> queries(kNumQueryKinds);
+  for (std::size_t k = 0; k < kNumQueryKinds; ++k) {
+    queries[k].kind = static_cast<QueryKind>(k);
+    queries[k].seed = 3;
+    queries[k].k = 8;
+    queries[k].threshold = 0.05;
+  }
+  for (const auto& [name, view] : views) {
+    for (const QueryDesc& q : queries) {
+      SCOPED_TRACE(std::string(name) + " " + query_kind_name(q.kind));
+      const QueryResult a = served_by(view, q, /*sync=*/false);
+      const QueryResult b = served_by(view, q, /*sync=*/true);
+      ASSERT_TRUE(a.ok()) << query_status_name(a.status);
+      ASSERT_TRUE(b.ok()) << query_status_name(b.status);
+      EXPECT_EQ(a.dist, b.dist);
+      EXPECT_EQ(a.reached, b.reached);
+      ASSERT_EQ(a.topk.size(), b.topk.size());
+      for (std::size_t i = 0; i < a.topk.size(); ++i) {
+        EXPECT_EQ(a.topk[i].second, b.topk[i].second);
+        EXPECT_DOUBLE_EQ(a.topk[i].first, b.topk[i].first);
+      }
+      ASSERT_EQ(a.neighbors.size(), b.neighbors.size());
+      for (std::size_t i = 0; i < a.neighbors.size(); ++i) {
+        EXPECT_EQ(a.neighbors[i].v, b.neighbors[i].v);
+        EXPECT_DOUBLE_EQ(a.neighbors[i].coefficient,
+                         b.neighbors[i].coefficient);
+      }
+      EXPECT_EQ(a.num_components, b.num_components);
+      EXPECT_EQ(a.largest_component, b.largest_component);
+      EXPECT_EQ(a.members, b.members);
+      EXPECT_EQ(a.subgraph_arcs, b.subgraph_arcs);
+      EXPECT_EQ(a.footprint.global, b.footprint.global);
+      EXPECT_EQ(a.footprint.verts, b.footprint.verts);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Serving spans
+
+/// Turns the global tracer on for one test and off again however the test
+/// ends: the sanitizer stage runs the whole suite in one process.
+struct TracerOn {
+  TracerOn() { obs::Tracer::global().set_active(true); }
+  ~TracerOn() { obs::Tracer::global().set_active(false); }
+};
+
+std::set<std::string> serve_span_names(std::uint64_t trace_id) {
+  std::set<std::string> names;
+  for (const obs::SpanRecord& s : obs::Tracer::global().spans_of(trace_id)) {
+    if (s.name.rfind("serve.", 0) == 0) names.insert(s.name);
+  }
+  return names;
+}
+
+TEST(ServeTracing, UntracedQueriesRecordNoSpans) {
+  SnapshotManager mgr;
+  mgr.publish(test_graph(4));
+  QueryScheduler sched(mgr, {.workers = 1});
+  const TracerOn on;
+  const obs::Tracer& tracer = obs::Tracer::global();
+  const std::uint64_t traces0 = tracer.traces_started();
+  const std::uint64_t spans0 = tracer.spans_recorded();
+  QueryDesc q;
+  q.kind = QueryKind::kBfs;
+  q.seed = 3;
+  ASSERT_TRUE(sched.submit(q).get().ok());
+  EXPECT_EQ(tracer.traces_started(), traces0);
+  EXPECT_EQ(tracer.spans_recorded(), spans0);
+  ASSERT_TRUE(sched.execute_now(q).cache_hit);
+  q.seed = 4;
+  ASSERT_TRUE(sched.execute_now(q).ok());
+  EXPECT_EQ(tracer.traces_started(), traces0);
+  EXPECT_EQ(tracer.spans_recorded(), spans0);
+}
+
+TEST(ServeTracing, BothEntryPointsRecordTheSameSpansInTheCallersTrace) {
+  SnapshotManager mgr;
+  mgr.publish(test_graph(4));
+  QueryScheduler sched(mgr, {.workers = 1});
+  const TracerOn on;
+  const obs::Tracer& tracer = obs::Tracer::global();
+  for (const bool sync : {true, false}) {
+    SCOPED_TRACE(sync ? "execute_now" : "submit");
+    const std::uint64_t traces0 = tracer.traces_started();
+    obs::ScopedSpan root("test.query", {});
+    const std::uint64_t trace = root.context().trace_id;
+    QueryDesc q;
+    q.kind = QueryKind::kBfs;
+    q.seed = sync ? 3 : 5;
+    q.trace = root.context();
+    const QueryResult r = sync ? sched.execute_now(q) : sched.submit(q).get();
+    ASSERT_TRUE(r.ok());
+    ASSERT_FALSE(r.cache_hit);
+    root.finish();
+    EXPECT_EQ(tracer.traces_started(), traces0 + 1);  // the caller's alone
+    std::set<std::string> want = {"serve.cache_lookup", "serve.admission",
+                                  "serve.snapshot_lease", "serve.kernel",
+                                  "serve.cache_write"};
+    if (!sync) want.insert("serve.queue_wait");
+    EXPECT_EQ(serve_span_names(trace), want);
+  }
+}
+
+TEST(ServeTracing, FusedGroupMembersCarryQueueWaitAndKernel) {
+  SnapshotManager mgr;
+  mgr.publish(test_graph(4));
+  SchedulerOptions o;
+  o.workers = 1;
+  o.start_paused = true;
+  QueryScheduler sched(mgr, o);
+  const TracerOn on;
+  std::vector<std::unique_ptr<obs::ScopedSpan>> roots;
+  std::vector<std::future<QueryResult>> futs;
+  for (vid_t s = 1; s <= 3; ++s) {
+    roots.push_back(std::make_unique<obs::ScopedSpan>("test.query",
+                                                      obs::TraceContext{}));
+    QueryDesc q;
+    q.kind = QueryKind::kBfs;
+    q.seed = s;
+    q.trace = roots.back()->context();
+    futs.push_back(sched.submit(q));
+  }
+  sched.resume();
+  for (std::size_t i = 0; i < futs.size(); ++i) {
+    const QueryResult r = futs[i].get();
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(r.batched);
+    const std::set<std::string> names =
+        serve_span_names(roots[i]->context().trace_id);
+    EXPECT_EQ(names.count("serve.queue_wait"), 1u);
+    EXPECT_EQ(names.count("serve.kernel"), 1u);
+  }
 }
 
 // ---------------------------------------------------------------------------
